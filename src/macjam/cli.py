@@ -243,11 +243,7 @@ def _cmd_rates(args) -> int:
     if args.alloc == "uniform":
         alloc = uniform_allocation(cfg)
     elif args.alloc == "optimal":
-        if budget.avg_power == 0.0:
-            # Zero budget: the objective is allocation-independent.
-            alloc = uniform_allocation(cfg)
-        else:
-            alloc = solve(cfg, budget).alloc
+        alloc = solve(cfg, budget).alloc
     elif args.alloc.startswith("file:"):
         alloc = _load_alloc_file(args.alloc[len("file:"):], cfg)
     else:

@@ -1,14 +1,17 @@
 """Solvers for the jammer's energy-allocation problem.
 
 The jammer minimizes the objective scalar rho over the simplex of energy
-ratios (one per user's training window, one for the data phase).  The primary
-solver searches the equality multiplier nu: for each trial nu the per-ratio
-stationarity equations, which are positive-part expressions coupled through
-the data-phase factor and the interference sum, are solved by damped fixed
-point iteration, and nu is bisected until the ratios use the whole budget.
-The sign structure of the positive parts identifies the set of ratios pinned
-at zero; a final restricted solve on that set is exact, which is what lets
-the returned points carry machine-precision KKT certificates.
+ratios (one per user's training window, one for the data phase).  On any
+fixed set of free (nonzero) ratios the stationarity equations collapse to one
+scalar: every free training ratio is set by a single proportionality
+constant, which solves a linear equation when the data ratio is pinned at
+zero and a quadratic when it is free.  A training ratio is free iff that
+constant exceeds the user's budget-independent threshold, so the free
+training set is a prefix of the users sorted by threshold.  The primary
+solver solves each of these 2K+1 candidate free sets exactly, keeps those
+that pass the primal and dual sign checks, and returns the best certified
+one (sorted-threshold water-filling), which is what lets the returned points
+carry machine-precision KKT certificates.
 
 Independent cross-checks: a closed-form interior solution valid at high
 jamming power, the infinite-power limit, a brute-force simplex-grid oracle,
@@ -103,18 +106,22 @@ class _Sys(NamedTuple):
     Td: float
     energy: float  # P_w * T
     S: float       # sum of data powers
+    w: np.ndarray  # tt * sqrt(pd pt): free training denominators are proportional to it
+    x: np.ndarray  # tt * (1 + pt tt): training denominator with no jamming
 
 
 def _sys(cfg: SystemConfig, budget: JammerBudget) -> _Sys:
-    pd = cfg.data_power_vec()
+    pt, pd, tt = cfg.train_power_vec(), cfg.data_power_vec(), cfg.train_len_vec()
     return _Sys(
-        pt=cfg.train_power_vec(),
+        pt=pt,
         pd=pd,
-        tt=cfg.train_len_vec(),
+        tt=tt,
         T=float(cfg.block_len),
         Td=float(cfg.data_len),
         energy=budget.avg_power * cfg.block_len,
         S=float(pd.sum()),
+        w=tt * np.sqrt(pd * pt),
+        x=tt * (1.0 + pt * tt),
     )
 
 
@@ -125,7 +132,7 @@ def _grad(sys: _Sys, zt: np.ndarray, zd: float) -> tuple[np.ndarray, float]:
     beta = sys.pd / (1.0 + s)
     gamma = 1.0 / (1.0 + zd * sys.energy / sys.Td)
     e_fac = 1.0 + gamma * beta.sum()
-    d_t = sys.energy * zt + sys.tt * (1.0 + sys.pt * sys.tt)
+    d_t = sys.energy * zt + sys.x
     g_t = -sys.energy * gamma * sys.pd * sys.pt * sys.tt**2 * (1.0 + gamma * sys.S) / (
         d_t**2 * e_fac**2
     )
@@ -147,9 +154,11 @@ def evaluate_kkt(zeta_t, zeta_d, nu: float, cfg: SystemConfig, budget: JammerBud
     violation among budget feasibility, ratio nonnegativity, multiplier
     nonnegativity and complementary slackness.
     """
-    zt = np.asarray(zeta_t, dtype=float)
-    zd = float(zeta_d)
-    g_t, g_d = rho_gradient(zt, zd, cfg, budget)
+    return _kkt_residual(_sys(cfg, budget), np.asarray(zeta_t, dtype=float), float(zeta_d), nu)
+
+
+def _kkt_residual(sys: _Sys, zt: np.ndarray, zd: float, nu: float):
+    g_t, g_d = _grad(sys, zt, zd)
     lam = np.append(g_t, g_d) + nu
     z = np.append(zt, zd)
     residual = max(
@@ -161,46 +170,6 @@ def evaluate_kkt(zeta_t, zeta_d, nu: float, cfg: SystemConfig, budget: JammerBud
     return residual, lam
 
 
-def _inner_fixed_point(sys: _Sys, nu: float, zt, zd, max_iter: int, mix0: float):
-    """Damped fixed point for the stationarity system at fixed nu.
-
-    The positive-part updates implement the pinned-at-zero set automatically.
-    The mixing factor starts at ``mix0`` and is halved whenever the step stops
-    contracting; stiff feedback through the interference sum otherwise makes
-    the plain 0.5-damped map oscillate at low jamming power.
-    """
-    sq_nu = math.sqrt(nu)
-    mix = mix0
-    prev_step = math.inf
-    # Loop-invariant pieces; note alpha_k = pd_k - beta_k.
-    rate = sys.energy / sys.tt
-    pt_tt = sys.pt * sys.tt
-    root_vec = sys.tt * np.sqrt(sys.energy * sys.pd * sys.pt)
-    thr = sys.tt * (1.0 + pt_tt)
-    for it in range(max_iter):
-        beta_sum = float((sys.pd / (1.0 + pt_tt / (1.0 + zt * rate))).sum())
-        gamma = 1.0 / (1.0 + zd * sys.energy / sys.Td)
-        e_fac = 1.0 + gamma * beta_sum
-        scale_t = math.sqrt(gamma * (1.0 + gamma * sys.S)) / (sq_nu * e_fac)
-        zt_new = np.maximum(0.0, (root_vec * scale_t - thr) / sys.energy)
-        zd_new = max(
-            0.0,
-            (math.sqrt(sys.energy * sys.Td * (sys.S - beta_sum)) / (sq_nu * e_fac) - sys.Td)
-            / sys.energy,
-        )
-        zt_next = (1.0 - mix) * zt + mix * zt_new
-        zd_next = (1.0 - mix) * zd + mix * zd_new
-        step = max(float(np.max(np.abs(zt_next - zt))), abs(zd_next - zd))
-        zt, zd = zt_next, zd_next
-        scale = 1.0 + max(float(zt.max()), zd)
-        if step <= 1e-13 * scale:
-            return zt, zd, mix, True
-        if step > 0.9 * prev_step:
-            mix = max(0.5 * mix, 1.0 / 128.0)
-        prev_step = step
-    return zt, zd, mix, False
-
-
 def _refine_active_set(sys: _Sys, free_t: np.ndarray, free_d: bool):
     """Exact solve of the stationarity + budget system on a fixed free set.
 
@@ -210,8 +179,7 @@ def _refine_active_set(sys: _Sys, free_t: np.ndarray, free_d: bool):
     otherwise it is linear in the budget.  Returns ``(zt, zd)`` or None when
     the free set admits no solution.
     """
-    w = sys.tt * np.sqrt(sys.pd * sys.pt)
-    x_thr = sys.tt * (1.0 + sys.pt * sys.tt)
+    w, x_thr = sys.w, sys.x
     w_free = float(w[free_t].sum())
     x_free = float(x_thr[free_t].sum())
     zt = np.zeros_like(sys.tt)
@@ -225,15 +193,17 @@ def _refine_active_set(sys: _Sys, free_t: np.ndarray, free_d: bool):
         )
         zd = 0.0
     else:
-        beta_zero = float((sys.pd / (1.0 + sys.pt * sys.tt))[~free_t].sum())
-        a2 = sys.S - float(sys.pd[free_t].sum()) - beta_zero
+        # a2 = sum of the pinned users' alpha at zero jamming, summed directly:
+        # S - sum_free pd - sum_pinned beta cancels when a pinned pd is tiny.
+        pt_tt = sys.pt * sys.tt
+        a2 = float((sys.pd * pt_tt / (1.0 + pt_tt))[~free_t].sum())
         rhs = sys.energy + sys.Td * (1.0 + sys.S) + x_free
-        if a2 > 0.0:
-            cp = (-w_free + math.sqrt(w_free * w_free + a2 * rhs)) / a2
-        elif w_free > 0.0:
-            cp = rhs / (2.0 * w_free)
-        else:
+        # Positive root of a2 cp^2 + 2 w_free cp - rhs = 0, without the
+        # cancellation of (-w_free + sqrt(...)) / a2 when a2 is small.
+        den = w_free + math.sqrt(w_free * w_free + a2 * rhs)
+        if den <= 0.0:
             return None
+        cp = rhs / den
         d_d = sys.energy + sys.Td + x_free - cp * w_free
         zd = (d_d - sys.Td) / sys.energy
         zt[free_t] = (cp * w[free_t] - x_thr[free_t]) / sys.energy
@@ -255,19 +225,22 @@ def _validate_candidate(sys: _Sys, zt: np.ndarray, zd: float, free_t: np.ndarray
 
 
 def _enumerate_active_sets(sys: _Sys):
-    """Exact fallback: try every structurally possible free set.
+    """Exact solve over every structurally possible free set.
 
     Free training ratios share one proportionality constant, so a ratio is
     positive iff that constant exceeds ``(1 + pt tt) / sqrt(pd pt)``; the free
     set is therefore a prefix of the users sorted by that threshold, leaving
-    only 2(K+1) candidates to solve exactly and sign-check.
+    2K+1 candidates (the empty set is excluded) to solve exactly and
+    sign-check.  Returns ``(best, tried)``: the sign-valid candidate
+    ``(zt, zd, nu)`` with the smallest raw residual, or None, and the number
+    of candidates that had a solution to sign-check.
     """
-    w = sys.tt * np.sqrt(sys.pd * sys.pt)
-    x_thr = sys.tt * (1.0 + sys.pt * sys.tt)
-    ratio = np.where(w > 0.0, x_thr / np.where(w > 0.0, w, 1.0), math.inf)
+    w = sys.w
+    ratio = np.where(w > 0.0, sys.x / np.where(w > 0.0, w, 1.0), math.inf)
     order = np.argsort(ratio, kind="stable")
     k = w.size
     best = None
+    tried = 0
     for m in range(k + 1):
         free_t = np.zeros(k, dtype=bool)
         free_t[order[:m]] = True
@@ -277,74 +250,20 @@ def _enumerate_active_sets(sys: _Sys):
             out = _refine_active_set(sys, free_t, free_d)
             if out is None:
                 continue
+            tried += 1
             zt, zd = out
             nu = _validate_candidate(sys, zt, zd, free_t, free_d)
             if nu is None:
                 continue
-            residual = _raw_residual(sys, zt, zd, nu)
+            residual, _ = _kkt_residual(sys, zt, zd, nu)
             if best is None or residual < best[0]:
                 best = (residual, zt, zd, nu)
-    if best is None:
-        return None
-    return best[1], best[2], best[3]
-
-
-def _raw_residual(sys: _Sys, zt: np.ndarray, zd: float, nu: float) -> float:
-    g_t, g_d = _grad(sys, zt, zd)
-    lam = np.append(g_t, g_d) + nu
-    z = np.append(zt, zd)
-    return max(
-        abs(float(z.sum()) - 1.0),
-        max(0.0, -float(z.min())),
-        max(0.0, -float(lam.min())),
-        float(np.max(np.abs(lam * z))),
-    )
-
-
-def _pivot_refine(sys: _Sys, free_t: np.ndarray, free_d: bool, max_rounds: int):
-    """Classic active-set pivoting around the exact restricted solve."""
-    k = free_t.size
-    for _ in range(max_rounds):
-        out = _refine_active_set(sys, free_t, free_d)
-        if out is None:
-            return None
-        zt, zd = out
-        zfull = np.append(zt, zd)
-        free = np.append(free_t, free_d)
-        # Primal sign check: drop the worst offender from the free set.
-        bad = np.where(free & (zfull <= 0.0))[0]
-        if bad.size:
-            worst = bad[np.argmin(zfull[bad])]
-            if worst == k:
-                free_d = False
-            else:
-                free_t = free_t.copy()
-                free_t[worst] = False
-            if not (free_t.any() or free_d):
-                return None
-            continue
-        # Dual sign check: release the most violated pinned coordinate.
-        g_t, g_d = _grad(sys, zt, zd)
-        g_all = np.append(g_t, g_d)
-        nu = float(-(g_all[free]).mean())
-        lam = g_all + nu
-        pinned = ~free
-        tol = 1e-11 * (1.0 + abs(nu))
-        viol = np.where(pinned & (lam < -tol))[0]
-        if viol.size:
-            worst = viol[np.argmin(lam[viol])]
-            if worst == k:
-                free_d = True
-            else:
-                free_t = free_t.copy()
-                free_t[worst] = True
-            continue
-        return zt, zd, nu
-    return None
+    return (None if best is None else best[1:]), tried
 
 
 def _flat_result(cfg: SystemConfig, budget: JammerBudget, method: str) -> SolveResult:
-    # Objective is constant (no data power anywhere): every point is optimal.
+    # Objective is constant (no data power anywhere, or a zero budget): every
+    # point is optimal.
     zt = cfg.train_len_vec() / cfg.block_len
     alloc = JammerAllocation(tuple(zt), cfg.data_len / cfg.block_len)
     k = cfg.n_users
@@ -392,84 +311,27 @@ def _build_result(
     )
 
 
-def solve_kkt(
-    cfg: SystemConfig,
-    budget: JammerBudget,
-    tol: float = 1e-10,
-    *,
-    max_outer: int = 500,
-    max_inner: int = 200,
-) -> SolveResult:
-    """Primary solver: bisection on the equality multiplier nu.
+def solve_kkt(cfg: SystemConfig, budget: JammerBudget, tol: float = 1e-10) -> SolveResult:
+    """Primary solver: exact solves on the 2K+1 candidate free sets.
 
-    The budget residual (sum of ratios minus one) decreases in nu, so the
-    bracket is expanded geometrically and then bisected.  The final iterate
-    fixes the set of zero ratios and an exact restricted solve polishes the
-    point; failing that, the raw iterate is kept and checked against ``tol``.
+    Every candidate that passes the primal and dual sign checks is a KKT
+    point; the one with the smallest residual is returned, with
+    ``iterations`` counting the candidates that were solved and
+    sign-checked.  Raises :class:`SolverError` when no candidate passes
+    or the returned allocation does not certify to ``tol``.
     """
     if budget.avg_power <= 0.0:
         raise ValueError("solve_kkt requires a positive jamming budget")
     sys = _sys(cfg, budget)
     if sys.S == 0.0:
         return _flat_result(cfg, budget, METHOD_KKT)
-
-    zt = sys.tt / sys.T
-    zd = sys.Td / sys.T
-    g_t, g_d = _grad(sys, zt, zd)
-    nu0 = max(float(np.max(-g_t)), -g_d)
-    evals = 0
-    mix = 0.5
-
-    def budget_gap(nu, zt, zd, mix):
-        nonlocal evals
-        evals += 1
-        zt, zd, mix, _ = _inner_fixed_point(sys, nu, zt, zd, max_inner, mix)
-        return float(zt.sum()) + zd - 1.0, zt, zd, mix
-
-    lo = hi = nu0
-    gap_lo, zt, zd, mix = budget_gap(lo, zt, zd, mix)
-    expand = 0
-    while gap_lo < 0.0 and expand < 150:
-        lo /= 16.0
-        expand += 1
-        gap_lo, zt, zd, mix = budget_gap(lo, zt, zd, mix)
-    gap_hi, zt_hi, zd_hi, mix = budget_gap(hi, zt.copy(), zd, mix)
-    expand = 0
-    while gap_hi > 0.0 and expand < 150:
-        hi *= 16.0
-        expand += 1
-        gap_hi, zt_hi, zd_hi, mix = budget_gap(hi, zt_hi, zd_hi, mix)
-    for _ in range(max_outer):
-        mid = math.sqrt(lo * hi)
-        gap_mid, zt, zd, mix = budget_gap(mid, zt, zd, mix)
-        if gap_mid > 0.0:
-            lo = mid
-        else:
-            hi = mid
-        if hi / lo - 1.0 <= 1e-10 or abs(gap_mid) <= 1e-13:
-            break
-    nu_est = math.sqrt(lo * hi)
-    gap_fin, zt, zd, mix = budget_gap(nu_est, zt, zd, mix)
-
-    free_t = zt > ACTIVE_TOL
-    free_d = zd > ACTIVE_TOL
-    refined = _pivot_refine(sys, free_t, free_d, max_rounds=2 * (cfg.n_users + 2))
-    if refined is not None:
-        zt_r, zd_r, nu_r = refined
-        result = _build_result(cfg, budget, zt_r, zd_r, METHOD_KKT, evals, nu=nu_r)
-        if result.kkt_residual <= tol:
-            return result
-    # Pivoting can lose its footing when the bisection iterate is far from
-    # feasible (razor-thin nu windows at very low budgets); enumerating the
-    # structurally possible free sets is exact and cheap.
-    enumerated = _enumerate_active_sets(sys)
-    if enumerated is not None:
-        zt_e, zd_e, nu_e = enumerated
-        if _raw_residual(sys, zt_e, zd_e, nu_e) <= tol:
-            return _build_result(cfg, budget, zt_e, zd_e, METHOD_KKT, evals, nu=nu_e)
-    result = _build_result(cfg, budget, zt, zd, METHOD_KKT, evals, nu=nu_est)
+    best, tried = _enumerate_active_sets(sys)
+    if best is None:
+        raise SolverError("no candidate free set passed the sign checks", math.inf)
+    zt, zd, nu = best
+    result = _build_result(cfg, budget, zt, zd, METHOD_KKT, tried, nu=nu)
     if result.kkt_residual > tol:
-        raise SolverError("nu-bisection did not converge", result.kkt_residual)
+        raise SolverError("no candidate free set certifies the optimum", result.kkt_residual)
     return result
 
 
@@ -488,7 +350,7 @@ def solve_closed_form(cfg: SystemConfig, budget: JammerBudget) -> SolveResult | 
     if budget.avg_power <= 0.0:
         raise ValueError("solve_closed_form requires a positive jamming budget")
     sys = _sys(cfg, budget)
-    w = sys.tt * np.sqrt(sys.pd * sys.pt)
+    w = sys.w
     eta = float(w.sum())
     if eta <= 0.0:
         return None
@@ -516,9 +378,13 @@ def solve_asymptotic(cfg: SystemConfig) -> JammerAllocation:
 
 
 def solve(cfg: SystemConfig, budget: JammerBudget, tol: float = 1e-10) -> SolveResult:
-    """Closed form when its validity condition holds, nu-bisection otherwise."""
-    if budget.avg_power <= 0.0:
-        raise ValueError("solve requires a positive jamming budget")
+    """Closed form when its validity condition holds, :func:`solve_kkt` otherwise.
+
+    A zero budget makes the objective independent of the allocation; it
+    returns the duration-proportional split with ``nu_star`` and residual 0.
+    """
+    if budget.avg_power == 0.0:
+        return _flat_result(cfg, budget, METHOD_KKT)
     result = solve_closed_form(cfg, budget)
     if result is not None and result.kkt_residual <= tol:
         return result

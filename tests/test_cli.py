@@ -164,6 +164,16 @@ def test_rates_zero_budget_identical_for_any_allocation(tmp_path, capsys):
     assert strip(uniform_out) == strip(file_out) == strip(optimal_out)
 
 
+def test_optimize_zero_budget_prints_uniform_split(tmp_path, capsys):
+    scenario = tmp_path / "nojam.scenario"
+    scenario.write_text(TWO_USER_POINT.replace("power_db: 5.0", "power_db: -.inf"))
+    assert main(["optimize", str(scenario)]) == 0
+    out = capsys.readouterr().out
+    assert "kkt_residual: 0.000e+00" in out
+    zts = [float(l.split("=")[1]) for l in out.splitlines() if l.startswith("zeta_t[")]
+    assert zts == [1.0 / 20.0, 1.0 / 20.0]
+
+
 def test_rates_rejects_non_simplex_allocation_file(tmp_path, capsys):
     path = tmp_path / "sym.scenario"
     path.write_text(TWO_USER_POINT)

@@ -78,9 +78,33 @@ def test_solve_kkt_certificate_on_random_suite():
         assert res.kkt_residual < 1e-8
         assert res.nu_star >= 0.0
         assert all(v >= 0.0 for v in res.lambdas)
+        assert 1 <= res.iterations <= 2 * cfg.n_users + 1
         # complementary slackness directly on the stored multipliers
         z = res.alloc.as_vector()
         assert max(abs(l * zi) for l, zi in zip(res.lambdas, z)) < 1e-8
+
+
+def test_solve_kkt_data_free_with_tiny_pinned_data_power():
+    # The pinned user's pd is 7 decades below the free user's; the data-free
+    # quadratic must not lose it to cancellation in its constant term.
+    cfg = mj.SystemConfig(
+        101, (mj.UserParams(0.0217, 0.00275, 2), mj.UserParams(8.94e4, 1.396e4, 3))
+    )
+    for pw in (1e4, 1.695e4, 3e4):
+        res = mj.solve(cfg, mj.JammerBudget(pw))
+        assert res.method == "kkt_active_set"
+        assert res.active_set == (0,)
+        assert res.kkt_residual <= 1e-10
+
+
+def test_solve_zero_budget_is_flat_uniform():
+    cfg = two_users((10.0, 20.0), (30.0, 10.0), (1, 2))
+    res = mj.solve(cfg, mj.JammerBudget(0.0))
+    assert res.alloc == mj.uniform_allocation(cfg)
+    assert res.nu_star == 0.0
+    assert res.kkt_residual == 0.0
+    with pytest.raises(ValueError):
+        mj.solve_closed_form(cfg, mj.JammerBudget(0.0))
 
 
 def test_interior_ratio_identity_two_users():
