@@ -19,6 +19,7 @@ from .model import (
     phase_jam_powers,
     rho_from_estimation,
     rho_value,
+    uniform_allocation,
 )
 from .optimizer import (
     OrderingVerdict,
@@ -55,7 +56,6 @@ from .scenario import (
     save_scenario,
     split_for_fraction,
     to_system_config,
-    uniform_allocation,
 )
 
 __version__ = "0.1.0"

@@ -27,6 +27,7 @@ __all__ = [
     "objective_rho",
     "rho_from_estimation",
     "rho_value",
+    "uniform_allocation",
 ]
 
 # Allocation vectors must sum to 1 within this tolerance before renormalization.
@@ -186,6 +187,14 @@ class JammerAllocation:
     def as_vector(self) -> np.ndarray:
         """All ratios as one vector, training entries first, data entry last."""
         return np.array(self.zeta_t + (self.zeta_d,), dtype=float)
+
+
+def uniform_allocation(cfg: SystemConfig) -> JammerAllocation:
+    """Duration-proportional split: constant jamming power across the block."""
+    t = cfg.block_len
+    return JammerAllocation(
+        tuple(u.train_len / t for u in cfg.users), cfg.data_len / t
+    )
 
 
 @dataclass(frozen=True)

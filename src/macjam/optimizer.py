@@ -32,6 +32,7 @@ from .model import (
     SystemConfig,
     objective_rho,
     rho_value,
+    uniform_allocation,
 )
 
 __all__ = [
@@ -51,6 +52,15 @@ __all__ = [
 
 # Coordinates at or below this are treated as pinned at zero.
 ACTIVE_TOL = 1e-9
+
+# Fixed settings of the two reference solvers (oracle, projected descent).
+ORACLE_MAX_GRID_POINTS = 2_000_000  # larger grids switch to Dirichlet sampling
+ORACLE_SEARCH_SAMPLES = 50_000
+ORACLE_SEED = 12345
+ORACLE_MAX_SWEEPS = 200
+DESCENT_TOL = 1e-9
+DESCENT_MAX_ITER = 5000
+DESCENT_SEED = 777
 
 METHOD_KKT = "kkt_active_set"
 METHOD_CLOSED_FORM = "closed_form"
@@ -212,7 +222,7 @@ def _refine_active_set(sys: _Sys, free_t: np.ndarray, free_d: bool):
 
 def _validate_candidate(sys: _Sys, zt: np.ndarray, zd: float, free_t: np.ndarray, free_d: bool):
     """Exact sign checks for a restricted solve; returns nu or None."""
-    if np.any(zt[free_t] <= 0.0) or zd < 0.0 or (free_d and zd <= 0.0):
+    if np.any(zt[free_t] <= 0.0) or (free_d and zd <= 0.0):
         return None
     g_t, g_d = _grad(sys, zt, zd)
     g_all = np.append(g_t, g_d)
@@ -264,8 +274,7 @@ def _enumerate_active_sets(sys: _Sys):
 def _flat_result(cfg: SystemConfig, budget: JammerBudget, method: str) -> SolveResult:
     # Objective is constant (no data power anywhere, or a zero budget): every
     # point is optimal.
-    zt = cfg.train_len_vec() / cfg.block_len
-    alloc = JammerAllocation(tuple(zt), cfg.data_len / cfg.block_len)
+    alloc = uniform_allocation(cfg)
     k = cfg.n_users
     return SolveResult(
         alloc=alloc,
@@ -373,7 +382,7 @@ def solve_asymptotic(cfg: SystemConfig) -> JammerAllocation:
     eta = float(w.sum())
     if eta <= 0.0:
         # No user carries data; the limit is degenerate and any split works.
-        return JammerAllocation(tuple(tt / cfg.block_len), cfg.data_len / cfg.block_len)
+        return uniform_allocation(cfg)
     return JammerAllocation(tuple(w / (2.0 * eta)), 0.5)
 
 
@@ -392,29 +401,26 @@ def solve(cfg: SystemConfig, budget: JammerBudget, tol: float = 1e-10) -> SolveR
 
 
 def _simplex_grid(dim: int, steps: int) -> np.ndarray:
-    """All points of the integer simplex grid {z >= 0, sum z = steps} / steps."""
-    if dim == 1:
-        return np.array([[float(steps)]]) / steps
-    parts = []
-    for lead in range(steps + 1):
-        rest = _simplex_grid(dim - 1, steps - lead) * (steps - lead) if steps - lead else np.zeros(
-            (1, dim - 1)
-        )
-        block = np.empty((rest.shape[0], dim))
-        block[:, 0] = lead
-        block[:, 1:] = rest
-        parts.append(block)
-    return np.concatenate(parts) / steps
+    """All points of the integer simplex grid {z >= 0, sum z = steps} / steps.
 
-
-def _grid_point_count(dim: int, steps: int) -> int:
-    return math.comb(steps + dim - 1, dim - 1)
+    Rows come in lexicographic order.  Built one leading coordinate at a
+    time on integer counts: a partial row with ``r`` units left becomes
+    ``r + 1`` rows whose next count runs 0..r; the last count takes the rest.
+    """
+    counts = np.zeros((1, 0), dtype=np.int64)
+    rest = np.array([steps], dtype=np.int64)
+    for _ in range(dim - 1):
+        reps = rest + 1
+        lead = np.arange(int(reps.sum())) - np.repeat(np.cumsum(reps) - reps, reps)
+        counts = np.column_stack([np.repeat(counts, reps, axis=0), lead])
+        rest = np.repeat(rest, reps) - lead
+    return np.column_stack([counts, rest]) / steps
 
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
-def _pair_descent(z, cfg, budget, max_sweeps: int, rel_tol: float = 1e-13):
+def _pair_descent(z, cfg, budget, rel_tol: float = 1e-13):
     """Projected coordinate descent on the simplex via pairwise transfers.
 
     Moving mass t from coordinate j to coordinate i keeps the simplex exact;
@@ -429,7 +435,7 @@ def _pair_descent(z, cfg, budget, max_sweeps: int, rel_tol: float = 1e-13):
 
     best = value(z)
     sweeps = 0
-    for _ in range(max_sweeps):
+    for _ in range(ORACLE_MAX_SWEEPS):
         sweeps += 1
         start = best
         for i in range(dim):
@@ -473,35 +479,26 @@ def _pair_descent(z, cfg, budget, max_sweeps: int, rel_tol: float = 1e-13):
     return z, best, sweeps
 
 
-def solve_oracle(
-    cfg: SystemConfig,
-    budget: JammerBudget,
-    grid_resolution: float = 1e-3,
-    *,
-    max_grid_points: int = 2_000_000,
-    search_samples: int = 50_000,
-    seed: int = 12345,
-    max_sweeps: int = 200,
-) -> SolveResult:
+def solve_oracle(cfg: SystemConfig, budget: JammerBudget, grid_resolution: float = 1e-3) -> SolveResult:
     """Brute-force reference: exhaustive simplex grid plus pairwise-descent polish.
 
-    When the grid at the requested resolution would exceed ``max_grid_points``
-    the enumeration is replaced by seeded Dirichlet sampling (plus the simplex
-    vertices and center); the polish does the precision work either way.  Only
-    intended for tests and diagnostics.
+    When the grid at the requested resolution would exceed 2,000,000 points
+    (``ORACLE_MAX_GRID_POINTS``) the enumeration is replaced by 50,000
+    Dirichlet samples drawn from the fixed seed ``ORACLE_SEED`` (plus the
+    simplex vertices and center); the polish does the precision work either
+    way.  Only intended for tests and diagnostics.
     """
     dim = cfg.n_users + 1
     steps = max(1, round(1.0 / grid_resolution))
-    if _grid_point_count(dim, steps) <= max_grid_points:
+    if math.comb(steps + dim - 1, dim - 1) <= ORACLE_MAX_GRID_POINTS:
         pts = _simplex_grid(dim, steps)
     else:
-        rng = np.random.default_rng(seed)
-        pts = np.concatenate(
-            [np.eye(dim), np.full((1, dim), 1.0 / dim), rng.dirichlet(np.ones(dim), size=search_samples)]
-        )
+        rng = np.random.default_rng(ORACLE_SEED)
+        samples = rng.dirichlet(np.ones(dim), size=ORACLE_SEARCH_SAMPLES)
+        pts = np.concatenate([np.eye(dim), np.full((1, dim), 1.0 / dim), samples])
     vals = rho_value(pts[:, :-1], pts[:, -1], cfg, budget)
     z0 = pts[int(np.argmin(vals))]
-    z, _, sweeps = _pair_descent(z0, cfg, budget, max_sweeps)
+    z, _, sweeps = _pair_descent(z0, cfg, budget)
     return _build_result(cfg, budget, z[:-1], float(z[-1]), METHOD_ORACLE, sweeps)
 
 
@@ -513,7 +510,7 @@ def _project_simplex(v: np.ndarray) -> np.ndarray:
     return np.maximum(v - shifted[r - 1] / r, 0.0)
 
 
-def _descend(z0, cfg, budget, tol, max_iter):
+def _descend(z0, cfg, budget):
     z = _project_simplex(np.asarray(z0, dtype=float))
 
     def value(v):
@@ -527,11 +524,11 @@ def _descend(z0, cfg, budget, tol, max_iter):
     g = gradient(z)
     step = 1.0
     iters = 0
-    for _ in range(max_iter):
+    for _ in range(DESCENT_MAX_ITER):
         # Scale-free first-order test; the projected gradient inherits the
         # magnitude of the gradient, so the threshold must as well.
         pg = z - _project_simplex(z - g)
-        if float(np.max(np.abs(pg))) <= tol * float(np.max(np.abs(g))):
+        if float(np.max(np.abs(pg))) <= DESCENT_TOL * float(np.max(np.abs(g))):
             break
         moved = False
         trial = min(step, 1e12)
@@ -556,13 +553,7 @@ def _descend(z0, cfg, budget, tol, max_iter):
 
 
 def solve_projected_descent(
-    cfg: SystemConfig,
-    budget: JammerBudget,
-    tol: float = 1e-9,
-    *,
-    max_iter: int = 5000,
-    starts: Sequence[np.ndarray] | None = None,
-    seed: int = 777,
+    cfg: SystemConfig, budget: JammerBudget, *, starts: Sequence[np.ndarray] | None = None
 ) -> SolveResult:
     """Multi-start projected gradient descent with Armijo backtracking.
 
@@ -575,18 +566,17 @@ def solve_projected_descent(
         raise ValueError("solve_projected_descent requires a positive jamming budget")
     k = cfg.n_users
     if starts is None:
-        rng = np.random.default_rng(seed)
-        asym = solve_asymptotic(cfg).as_vector()
+        rng = np.random.default_rng(DESCENT_SEED)
         starts = [
-            np.append(cfg.train_len_vec() / cfg.block_len, cfg.data_len / cfg.block_len),
+            uniform_allocation(cfg).as_vector(),
             np.append(np.full(k, 1.0 / k), 0.0),
             np.append(np.zeros(k), 1.0),
-            asym,
+            solve_asymptotic(cfg).as_vector(),
             rng.dirichlet(np.ones(k + 1)),
         ]
     best = None
     for z0 in starts:
-        z, f, iters = _descend(np.asarray(z0, dtype=float), cfg, budget, tol, max_iter)
+        z, f, iters = _descend(np.asarray(z0, dtype=float), cfg, budget)
         if best is None or f < best[1]:
             best = (z, f, iters)
     z, _, iters = best

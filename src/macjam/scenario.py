@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 import yaml
 
-from .model import JammerAllocation, SystemConfig, UserParams
+from .model import SystemConfig, UserParams, uniform_allocation
 from .rates import EULER_GAMMA, MonteCarloSettings
 
 __all__ = [
@@ -336,14 +336,6 @@ def to_system_config(spec: ScenarioSpec) -> SystemConfig:
         except ValueError as exc:
             raise ScenarioError(f"users[{idx}]: {exc}") from exc
     return SystemConfig(block_len=spec.block_len, users=tuple(users))
-
-
-def uniform_allocation(cfg: SystemConfig) -> JammerAllocation:
-    """Duration-proportional split: constant jamming power across the block."""
-    t = cfg.block_len
-    return JammerAllocation(
-        tuple(u.train_len / t for u in cfg.users), cfg.data_len / t
-    )
 
 
 def sweep_db_values(spec: ScenarioSpec) -> list[float]:

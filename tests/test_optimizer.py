@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import macjam as mj
+from macjam.optimizer import _simplex_grid
 from _support import random_config, rate_reduction_limit
 
 T100 = 100
@@ -202,6 +203,32 @@ def test_oracle_never_beaten_beyond_grid_error_two_users():
         oracle = mj.solve_oracle(cfg, budget, grid_resolution=1e-3)
         assert oracle.rho_star >= kkt.rho_star - 1e-4
         assert abs(oracle.rho_star - kkt.rho_star) < 1e-4
+
+
+@pytest.mark.parametrize("dim, steps", [(1, 5), (2, 7), (3, 10), (4, 6)])
+def test_simplex_grid_lists_every_composition_in_lexicographic_order(dim, steps):
+    grid = _simplex_grid(dim, steps)
+    assert grid.shape == (math.comb(steps + dim - 1, dim - 1), dim)
+    counts = grid * steps
+    assert np.array_equal(counts, np.rint(counts))
+    counts = counts.astype(int)
+    assert counts.min() >= 0
+    assert np.all(counts.sum(axis=1) == steps)
+    diff = np.diff(counts, axis=0)
+    first = np.argmax(diff != 0, axis=1)
+    assert np.all(diff[np.arange(diff.shape[0]), first] > 0)
+
+
+def test_oracle_agrees_with_solve_over_extreme_range():
+    # Powers -30..80 dB, budgets -40..100 dB; at K = 3 the grid is over the
+    # cap, so the oracle starts from its seeded Dirichlet sample instead.
+    rng = np.random.default_rng(2012)
+    for i in range(30):
+        cfg = random_config(rng, k=[1, 2, 3][i % 3], p_lo=1e-3, p_hi=1e8)
+        budget = mj.JammerBudget(float(10 ** rng.uniform(-4.0, 10.0)))
+        rho = mj.solve(cfg, budget).rho_star
+        oracle = mj.solve_oracle(cfg, budget, grid_resolution=1e-3)
+        assert abs(oracle.rho_star - rho) <= 1e-6 * rho, (i, cfg, budget)
 
 
 def test_oracle_reports_flat_objective_at_zero_budget():
