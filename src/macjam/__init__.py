@@ -39,6 +39,8 @@ from .rates import (
     EULER_GAMMA,
     MonteCarloSettings,
     RateReport,
+    SampleBank,
+    draw_samples,
     rate_report,
     sum_rate_lb,
     sum_rate_mc,

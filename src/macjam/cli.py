@@ -16,7 +16,7 @@ import yaml
 
 from .model import JammerAllocation, JammerBudget, SystemConfig
 from .optimizer import SolveResult, SolverError, solve, solve_kkt, solve_oracle
-from .rates import MonteCarloSettings, RateReport, rate_report
+from .rates import MonteCarloSettings, RateReport, draw_samples, rate_report
 from .scenario import (
     ScenarioError,
     ScenarioSpec,
@@ -77,6 +77,8 @@ def _fmt(x: float) -> str:
 def run_sweep(spec: ScenarioSpec, workers: int = 1) -> list[SweepRow]:
     cfg = to_system_config(spec)
     unif_alloc = uniform_allocation(cfg)
+    # Every report of a sweep shares one seed: draw its samples once.
+    bank = draw_samples(spec.mc, cfg.n_users, workers=workers)
     rows = []
     for pw_db in sweep_db_values(spec):
         budget = JammerBudget(db_to_linear(pw_db))
@@ -84,8 +86,8 @@ def run_sweep(spec: ScenarioSpec, workers: int = 1) -> list[SweepRow]:
             result = solve(cfg, budget)
         except SolverError as exc:
             raise SolverError(f"sweep failed at P_w = {pw_db} dB: {exc}", exc.residual) from exc
-        opt = rate_report(result.alloc, cfg, budget, spec.mc, workers=workers)
-        unif = rate_report(unif_alloc, cfg, budget, spec.mc, workers=workers)
+        opt = rate_report(result.alloc, cfg, budget, spec.mc, bank=bank)
+        unif = rate_report(unif_alloc, cfg, budget, spec.mc, bank=bank)
         reduction = 100.0 * (1.0 - opt.r_mc / unif.r_mc) if unif.r_mc > 0.0 else 0.0
         rows.append(
             SweepRow(

@@ -149,6 +149,20 @@ def test_exit_codes(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_worker_count_below_one_is_a_configuration_error(tmp_path, capsys):
+    point = tmp_path / "sym.scenario"
+    point.write_text(TWO_USER_POINT)
+    sweep = tmp_path / "tiny.scenario"
+    sweep.write_text(TINY)
+    for workers in ("0", "-3"):
+        assert main(["rates", str(point), "--alloc", "uniform", "--workers", workers]) == 2
+        assert "workers must be an integer >= 1" in capsys.readouterr().err
+        out = tmp_path / f"out{workers}"
+        assert main(["sweep", str(sweep), "--outdir", str(out), "--workers", workers]) == 2
+        assert "workers must be an integer >= 1" in capsys.readouterr().err
+        assert not (out / "tiny.csv").exists()
+
+
 def test_rates_zero_budget_identical_for_any_allocation(tmp_path, capsys):
     scenario = tmp_path / "nojam.scenario"
     scenario.write_text(TWO_USER_POINT.replace("power_db: 5.0", "power_db: -.inf"))

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import macjam as mj
+from macjam import cli
 from _support import random_alloc, random_budget, random_config
 
 # Single user, P_t = P_d = 10, T_t = 1, T = 10, no jamming: rho = 100/21.
@@ -121,6 +122,117 @@ def test_mc_reproducible_and_worker_invariant():
     threaded = mj.sum_rate_mc(alloc, cfg, budget, mc, workers=3)
     assert first == again
     assert first == threaded
+
+
+def _old_kernel_estimate(alloc, cfg, budget, mc):
+    """The block kernel as first written, with a temporary per step: the bit reference."""
+    coeffs, pref = mj.rates._sinr_coeffs(alloc, cfg, budget)
+    total = total_sq = 0.0
+    for b, m in mj.rates._block_sizes(mc.samples):
+        u = np.random.Generator(np.random.Philox(np.random.SeedSequence([mc.seed, b]))).random(
+            (m, coeffs.size)
+        )
+        x = pref * np.log2(1.0 + (-np.log1p(-u)) @ coeffs)
+        total += float(x.sum())
+        total_sq += float((x * x).sum())
+    return total, total_sq
+
+
+def _setup(k, seed=7):
+    rng = np.random.default_rng(seed + k)
+    cfg = random_config(rng, k=k)
+    return random_alloc(rng, k), cfg, random_budget(rng)
+
+
+@pytest.mark.parametrize("k", [1, 4, 32])
+def test_in_place_kernel_keeps_the_bits_of_the_temporary_kernel(k):
+    alloc, cfg, budget = _setup(k)
+    mc = mj.MonteCarloSettings(samples=20_001, seed=11)
+    coeffs, pref = mj.rates._sinr_coeffs(alloc, cfg, budget)
+    stats = [
+        mj.rates._reduce(mj.rates._draw_block(mc.seed, b, m, k), coeffs, pref)
+        for b, m in mj.rates._block_sizes(mc.samples)
+    ]
+    total = total_sq = 0.0
+    for s1, s2 in stats:
+        total += s1
+        total_sq += s2
+    assert (total, total_sq) == _old_kernel_estimate(alloc, cfg, budget, mc)
+
+
+@pytest.mark.parametrize("k", [1, 4, 32])
+@pytest.mark.parametrize("samples", [1, 8191, 8192, 8193, 20_001])
+def test_bank_gives_the_bits_of_a_fresh_draw(k, samples):
+    alloc, cfg, budget = _setup(k)
+    mc = mj.MonteCarloSettings(samples=samples, seed=5)
+    bank = mj.draw_samples(mc, k)
+    assert sum(e.nbytes for e in bank.blocks) == samples * k * 8
+    for workers in (1, 3):
+        fresh = mj.sum_rate_mc(alloc, cfg, budget, mc, workers=workers)
+        assert mj.sum_rate_mc(alloc, cfg, budget, mc, workers=workers, bank=bank) == fresh
+        assert mj.sum_rate_mc(alloc, cfg, budget, mc, bank=mj.draw_samples(mc, k, workers)) == fresh
+    report = mj.rate_report(alloc, cfg, budget, mc, bank=bank)
+    assert report == mj.rate_report(alloc, cfg, budget, mc)
+
+
+def test_bank_is_read_only():
+    bank = mj.draw_samples(mj.MonteCarloSettings(samples=10, seed=1), 2)
+    with pytest.raises(ValueError):
+        bank.blocks[0][0, 0] = 1.0
+
+
+def test_bank_for_other_draws_is_rejected():
+    alloc, cfg, budget = _setup(4)
+    mc = mj.MonteCarloSettings(samples=9000, seed=5)
+    others = [
+        mj.draw_samples(mj.MonteCarloSettings(samples=9000, seed=6), 4),
+        mj.draw_samples(mj.MonteCarloSettings(samples=8999, seed=5), 4),
+        mj.draw_samples(mc, 3),
+    ]
+    for bank in others:
+        with pytest.raises(ValueError, match="sample bank drawn for"):
+            mj.sum_rate_mc(alloc, cfg, budget, mc, bank=bank)
+        with pytest.raises(ValueError, match="sample bank drawn for"):
+            mj.rate_report(alloc, cfg, budget, mc, bank=bank)
+
+
+@pytest.mark.parametrize("workers", [0, -3, 1.5, True])
+def test_worker_count_below_one_is_rejected(workers):
+    mc = mj.MonteCarloSettings(samples=100, seed=1)
+    with pytest.raises(ValueError, match="workers"):
+        mj.sum_rate_mc(K1_ALLOC, K1, NO_JAM, mc, workers=workers)
+    with pytest.raises(ValueError, match="workers"):
+        mj.draw_samples(mc, 1, workers=workers)
+
+
+def test_sweep_draws_its_samples_once(tmp_path, monkeypatch):
+    scenario = tmp_path / "tiny.scenario"
+    scenario.write_text(
+        "block_len: 10\n"
+        "users:\n"
+        "  - {train_len: 1, train_power_db: 10.0, data_power_db: 10.0}\n"
+        "  - {train_len: 2, train_power_db: 6.0, data_power_db: 8.0}\n"
+        "jammer: {sweep: {min_db: 0.0, max_db: 10.0, step_db: 5.0}}\n"
+        "mc: {samples: 9000, seed: 3}\n"
+        "output: tiny\n"
+    )
+    spec = mj.load_scenario(scenario)
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return mj.draw_samples(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "draw_samples", counting)
+    rows = cli.run_sweep(spec, workers=2)
+    assert len(rows) == 3
+    assert calls == [(spec.mc, 2)]
+    # Each report priced from the shared bank equals one that drew its own samples.
+    cfg = mj.to_system_config(spec)
+    for row in rows:
+        budget = mj.JammerBudget(mj.db_to_linear(row.pw_db))
+        assert row.opt == mj.rate_report(mj.solve(cfg, budget).alloc, cfg, budget, spec.mc)
+        assert row.unif == mj.rate_report(mj.uniform_allocation(cfg), cfg, budget, spec.mc)
 
 
 def test_mc_seed_changes_estimate():
