@@ -16,7 +16,7 @@ import yaml
 
 from .model import JammerAllocation, JammerBudget, SystemConfig
 from .optimizer import SolveResult, SolverError, solve, solve_kkt, solve_oracle
-from .rates import MonteCarloSettings, RateReport, draw_samples, rate_report
+from .rates import MonteCarloSettings, RateReport, _check_count, draw_samples, rate_report
 from .scenario import (
     ScenarioError,
     ScenarioSpec,
@@ -74,11 +74,19 @@ def _fmt(x: float) -> str:
     return format(x, ".17g")
 
 
+# The largest sample bank (samples x K x 8 bytes) a sweep holds.  Above it each
+# report draws its own samples block by block, so memory stays bounded at any K.
+SWEEP_BANK_MAX_BYTES = 64 * 2**20
+
+
 def run_sweep(spec: ScenarioSpec, workers: int = 1) -> list[SweepRow]:
+    _check_count("workers", workers)
     cfg = to_system_config(spec)
     unif_alloc = uniform_allocation(cfg)
-    # Every report of a sweep shares one seed: draw its samples once.
-    bank = draw_samples(spec.mc, cfg.n_users, workers=workers)
+    # Every report of a sweep shares one seed: draw its samples once if they fit.
+    bank = None
+    if spec.mc.samples * cfg.n_users * 8 <= SWEEP_BANK_MAX_BYTES:
+        bank = draw_samples(spec.mc, cfg.n_users)
     rows = []
     for pw_db in sweep_db_values(spec):
         budget = JammerBudget(db_to_linear(pw_db))
@@ -86,8 +94,8 @@ def run_sweep(spec: ScenarioSpec, workers: int = 1) -> list[SweepRow]:
             result = solve(cfg, budget)
         except SolverError as exc:
             raise SolverError(f"sweep failed at P_w = {pw_db} dB: {exc}", exc.residual) from exc
-        opt = rate_report(result.alloc, cfg, budget, spec.mc, bank=bank)
-        unif = rate_report(unif_alloc, cfg, budget, spec.mc, bank=bank)
+        opt = rate_report(result.alloc, cfg, budget, spec.mc, workers=workers, bank=bank)
+        unif = rate_report(unif_alloc, cfg, budget, spec.mc, workers=workers, bank=bank)
         reduction = 100.0 * (1.0 - opt.r_mc / unif.r_mc) if unif.r_mc > 0.0 else 0.0
         rows.append(
             SweepRow(
@@ -311,7 +319,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sweep = sub.add_parser("sweep", help="sweep the jamming power and emit CSV + plot script")
     p_sweep.add_argument("scenario")
     p_sweep.add_argument("--outdir", default=".")
-    p_sweep.add_argument("--workers", type=int, default=1)
+    p_sweep.add_argument(
+        "--workers",
+        type=int,
+        default=1,
+        help="threads that draw each rate report's samples; a sweep draws them once, "
+        f"on one thread, if they take at most {SWEEP_BANK_MAX_BYTES // 2**20} MiB "
+        "(samples x K x 8 bytes), else once per report",
+    )
     p_sweep.set_defaults(handler=_cmd_sweep)
 
     p_oracle = sub.add_parser("oracle-check", help="compare the KKT solver with the brute-force oracle")

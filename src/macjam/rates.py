@@ -105,14 +105,6 @@ def _check_count(name: str, value) -> None:
         raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
 
 
-def _map_blocks(fn, items, workers: int) -> list:
-    """``[fn(item) for item in items]``, on ``workers`` threads when that is more than one."""
-    if workers > 1 and len(items) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(fn, items))
-    return [fn(item) for item in items]
-
-
 def _draw_block(seed: int, block: int, count: int, n_users: int) -> np.ndarray:
     """Unit-mean exponentials of one block, built in the array the generator fills."""
     e = Generator(Philox(SeedSequence([seed, block]))).random((count, n_users))
@@ -151,14 +143,11 @@ class SampleBank:
     blocks: tuple[np.ndarray, ...]
 
 
-def draw_samples(mc: MonteCarloSettings, n_users: int, workers: int = 1) -> SampleBank:
+def draw_samples(mc: MonteCarloSettings, n_users: int) -> SampleBank:
     """Draw the blocks that :func:`sum_rate_mc` would draw for ``mc`` and ``n_users`` users."""
-    _check_count("workers", workers)
     _check_count("n_users", n_users)
     n_users = int(n_users)
-    blocks = _map_blocks(
-        lambda b: _draw_block(mc.seed, b[0], b[1], n_users), _block_sizes(mc.samples), workers
-    )
+    blocks = [_draw_block(mc.seed, b, m, n_users) for b, m in _block_sizes(mc.samples)]
     for e in blocks:
         e.flags.writeable = False
     return SampleBank(mc.seed, mc.samples, n_users, tuple(blocks))
@@ -183,25 +172,29 @@ def sum_rate_mc(
     bits; it must match ``(mc.seed, mc.samples, cfg.n_users)`` or this raises
     ``ValueError``.  A bank costs ``samples * K * 8`` bytes of memory for as
     long as the caller keeps it: 6.4 MB for the bundled fig2 sweep (200,000
-    samples, K = 4), 51 MB at K = 32.  With ``workers`` > 1, that many
-    threads draw (or read) and reduce the blocks.
+    samples, K = 4), 51 MB at K = 32.  With ``workers`` > 1 and no bank,
+    that many threads draw and reduce the blocks; a bank's blocks are reduced
+    on the calling thread, since threads only slow that short reduction.
     """
     _check_count("workers", workers)
     coeffs, pref = _sinr_coeffs(alloc, cfg, budget)
     if bank is None:
         k = coeffs.size
-        stats = _map_blocks(
-            lambda b: _reduce(_draw_block(mc.seed, b[0], b[1], k), coeffs, pref),
-            _block_sizes(mc.samples),
-            workers,
-        )
+        blocks = _block_sizes(mc.samples)
+        if workers > 1 and len(blocks) > 1:
+            with ThreadPoolExecutor(max_workers=workers) as pool:
+                stats = list(
+                    pool.map(lambda b: _reduce(_draw_block(mc.seed, *b, k), coeffs, pref), blocks)
+                )
+        else:
+            stats = [_reduce(_draw_block(mc.seed, b, m, k), coeffs, pref) for b, m in blocks]
     else:
         drawn_for, asked = (bank.seed, bank.samples, bank.n_users), (mc.seed, mc.samples, cfg.n_users)
         if drawn_for != asked:
             raise ValueError(
                 f"sample bank drawn for (seed, samples, K) = {drawn_for}, asked for {asked}"
             )
-        stats = _map_blocks(lambda e: _reduce(e, coeffs, pref), bank.blocks, workers)
+        stats = [_reduce(e, coeffs, pref) for e in bank.blocks]
     n = mc.samples
     total = 0.0
     total_sq = 0.0

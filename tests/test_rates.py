@@ -170,7 +170,6 @@ def test_bank_gives_the_bits_of_a_fresh_draw(k, samples):
     for workers in (1, 3):
         fresh = mj.sum_rate_mc(alloc, cfg, budget, mc, workers=workers)
         assert mj.sum_rate_mc(alloc, cfg, budget, mc, workers=workers, bank=bank) == fresh
-        assert mj.sum_rate_mc(alloc, cfg, budget, mc, bank=mj.draw_samples(mc, k, workers)) == fresh
     report = mj.rate_report(alloc, cfg, budget, mc, bank=bank)
     assert report == mj.rate_report(alloc, cfg, budget, mc)
 
@@ -201,11 +200,16 @@ def test_worker_count_below_one_is_rejected(workers):
     mc = mj.MonteCarloSettings(samples=100, seed=1)
     with pytest.raises(ValueError, match="workers"):
         mj.sum_rate_mc(K1_ALLOC, K1, NO_JAM, mc, workers=workers)
-    with pytest.raises(ValueError, match="workers"):
-        mj.draw_samples(mc, 1, workers=workers)
 
 
-def test_sweep_draws_its_samples_once(tmp_path, monkeypatch):
+# The tiny sweep's bank: 9000 samples x 2 users x 8 bytes.
+TINY_BANK_BYTES = 9000 * 2 * 8
+
+
+@pytest.mark.parametrize(
+    "max_bytes, draws", [(TINY_BANK_BYTES, 1), (TINY_BANK_BYTES - 1, 0)]
+)
+def test_sweep_draws_its_samples_once_if_they_fit(tmp_path, monkeypatch, max_bytes, draws):
     scenario = tmp_path / "tiny.scenario"
     scenario.write_text(
         "block_len: 10\n"
@@ -224,10 +228,11 @@ def test_sweep_draws_its_samples_once(tmp_path, monkeypatch):
         return mj.draw_samples(*args, **kwargs)
 
     monkeypatch.setattr(cli, "draw_samples", counting)
+    monkeypatch.setattr(cli, "SWEEP_BANK_MAX_BYTES", max_bytes)
     rows = cli.run_sweep(spec, workers=2)
     assert len(rows) == 3
-    assert calls == [(spec.mc, 2)]
-    # Each report priced from the shared bank equals one that drew its own samples.
+    assert calls == [(spec.mc, 2)] * draws
+    # With or without the shared bank, each report equals one that drew its own samples.
     cfg = mj.to_system_config(spec)
     for row in rows:
         budget = mj.JammerBudget(mj.db_to_linear(row.pw_db))
