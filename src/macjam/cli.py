@@ -20,6 +20,7 @@ from .rates import MonteCarloSettings, RateReport, _check_count, draw_samples, r
 from .scenario import (
     ScenarioError,
     ScenarioSpec,
+    _as_float,
     db_to_linear,
     load_scenario,
     sweep_db_values,
@@ -238,7 +239,12 @@ def _load_alloc_file(path: str, cfg: SystemConfig) -> JammerAllocation:
         raise ScenarioError(f"{path}: parse error: {exc}") from exc
     if not isinstance(raw, dict) or set(raw) != {"zeta_t", "zeta_d"}:
         raise ScenarioError(f"{path}: allocation file needs exactly the keys zeta_t and zeta_d")
-    alloc = JammerAllocation(tuple(float(z) for z in raw["zeta_t"]), float(raw["zeta_d"]))
+    if not isinstance(raw["zeta_t"], list):
+        raise ScenarioError(f"{path}: zeta_t must be a list of numbers, got {raw['zeta_t']!r}")
+    alloc = JammerAllocation(
+        tuple(_as_float(z, f"{path}: zeta_t entry") for z in raw["zeta_t"]),
+        _as_float(raw["zeta_d"], f"{path}: zeta_d"),
+    )
     if alloc.n_users != cfg.n_users:
         raise ScenarioError(
             f"{path}: allocation has {alloc.n_users} training ratios, config has {cfg.n_users}"

@@ -197,6 +197,19 @@ def test_rates_rejects_non_simplex_allocation_file(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    "alloc", [{"zeta_t": 0.5, "zeta_d": 0.5}, {"zeta_t": [0.4, 0.4], "zeta_d": None}]
+)
+def test_rates_rejects_malformed_allocation_file(tmp_path, capsys, alloc):
+    path = tmp_path / "sym.scenario"
+    path.write_text(TWO_USER_POINT)
+    alloc_file = tmp_path / "alloc.yaml"
+    alloc_file.write_text(yaml.safe_dump(alloc))
+    assert main(["rates", str(path), "--alloc", f"file:{alloc_file}"]) == 2
+    err = capsys.readouterr().err
+    assert any(line.startswith("error:") for line in err.splitlines())
+
+
 def test_rates_near_zero_data_power_reports_zero(tmp_path, capsys):
     text = TWO_USER_POINT.replace("data_power_db: 10.0", "data_power_db: -400.0")
     path = tmp_path / "silent.scenario"

@@ -1,11 +1,13 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import macjam as mj
+from macjam import optimizer as opt
 from macjam.optimizer import _simplex_grid
-from _support import random_config, rate_reduction_limit
+from _support import random_budget, random_config, rate_reduction_limit
 
 T100 = 100
 
@@ -96,6 +98,81 @@ def test_solve_kkt_data_free_with_tiny_pinned_data_power():
         assert res.method == "kkt_active_set"
         assert res.active_set == (0,)
         assert res.kkt_residual <= 1e-10
+
+
+def _reference_solve_kkt(cfg, budget, tol=1e-10):
+    """``solve_kkt`` with every candidate free set solved and checked exactly.
+
+    The loop the vectorized screen replaced.  Returns the result, the users
+    in threshold order, and the rows (``2m - 1`` data pinned, ``2m`` data
+    free, for the first ``m`` users in that order) that pass the exact sign
+    checks.
+    """
+    sys = opt._sys(cfg, budget)
+    w = sys.w
+    ratio = np.where(w > 0.0, sys.x / np.where(w > 0.0, w, 1.0), math.inf)
+    order = np.argsort(ratio, kind="stable")
+    best, tried, accepted = None, 0, []
+    for m in range(w.size + 1):
+        free_t = np.zeros(w.size, dtype=bool)
+        free_t[order[:m]] = True
+        for free_d in (False, True):
+            if m == 0 and not free_d:
+                continue
+            out = opt._refine_active_set(sys, free_t, free_d)
+            if out is None:
+                continue
+            tried += 1
+            zt, zd = out
+            checked = opt._validate_candidate(sys, zt, zd, free_t, free_d)
+            if checked is None:
+                continue
+            accepted.append(2 * m - (not free_d))
+            nu = checked[0]
+            residual, _ = opt._kkt_residual(sys, zt, zd, nu)
+            if best is None or residual < best[0]:
+                best = (residual, zt, zd, nu)
+    if best is None:
+        raise mj.SolverError("no candidate free set passed the sign checks", math.inf)
+    _, zt, zd, nu = best
+    result = opt._build_result(cfg, budget, sys, zt, zd, opt.METHOD_KKT, tried, nu=nu)
+    if result.kkt_residual > tol:
+        raise mj.SolverError("no candidate free set certifies the optimum", result.kkt_residual)
+    return result, order, accepted
+
+
+def _hex_fields(res):
+    return (
+        tuple(float.hex(v) for v in res.alloc.as_vector()),
+        float.hex(res.rho_star),
+        float.hex(res.nu_star),
+        tuple(float.hex(v) for v in res.lambdas),
+        res.active_set,
+        res.method,
+        float.hex(res.kkt_residual),
+        res.iterations,
+    )
+
+
+def test_screen_keeps_every_exact_candidate_and_every_bit():
+    rng = np.random.default_rng(2718)
+    ks = (1, 2, 4, 8, 16, 32)
+    for i in range(300):
+        cfg = random_config(rng, k=ks[i % len(ks)], p_lo=1e-3, p_hi=1e8)
+        if i % 10 == 9:
+            silent = replace(cfg.users[0], data_power=0.0)
+            cfg = mj.SystemConfig(cfg.block_len, (silent,) + cfg.users[1:])
+        budget = random_budget(rng, -40.0, 100.0)
+        try:
+            ref, order, accepted = _reference_solve_kkt(cfg, budget)
+        except mj.SolverError as exc:
+            with pytest.raises(mj.SolverError) as got:
+                mj.solve_kkt(cfg, budget)
+            assert str(got.value) == str(exc)
+            continue
+        assert _hex_fields(mj.solve_kkt(cfg, budget)) == _hex_fields(ref)
+        _, passed = opt._screen_active_sets(opt._sys(cfg, budget), order)
+        assert set(accepted) <= set(np.flatnonzero(passed).tolist())
 
 
 def test_solve_zero_budget_is_flat_uniform():
