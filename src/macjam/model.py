@@ -5,6 +5,11 @@ the configuration boundary (see :mod:`macjam.scenario`).  Each user's Rayleigh
 channel has unit variance and is estimated by LMMSE from that user's
 non-overlapping pilot symbols, so the estimate quality depends only on the
 effective pilot SNR after jamming.
+
+The post-detection SINR is written two independent ways: from the ratio form
+(:func:`objective_rho`, :func:`rho_value`) and from the estimation variances
+(:func:`_sinr_coeffs`, whose per-user coefficients the Monte Carlo prices and
+whose sum is :func:`rho_from_estimation`).
 """
 
 from __future__ import annotations
@@ -231,12 +236,9 @@ def phase_jam_powers(
         raise ValueError(
             f"allocation has {alloc.n_users} training ratios but config has {cfg.n_users} users"
         )
-    t_d = cfg.data_len
-    if t_d <= 0:
-        raise ValueError("config has no data phase")
     energy = budget.avg_power * cfg.block_len
     p_wt = alloc.zeta_t_vec() * energy / cfg.train_len_vec()
-    p_wd = alloc.zeta_d * energy / t_d
+    p_wd = alloc.zeta_d * energy / cfg.data_len
     return p_wt, p_wd
 
 
@@ -290,25 +292,32 @@ def objective_rho(
     return float(gamma * alphas.sum() / (1.0 + gamma * betas.sum()))
 
 
+def _sinr_coeffs(alloc, cfg, budget):
+    """Per-user SINR coefficients: sample rate is pref*log2(1 + coeffs @ exp)."""
+    p_wt, p_wd = phase_jam_powers(alloc, cfg, budget)
+    p_d_eff = cfg.data_power_vec() / (1.0 + p_wd)
+    s = cfg.train_power_vec() / (1.0 + p_wt) * cfg.train_len_vec()
+    est_var = s / (1.0 + s)
+    err_var = 1.0 / (1.0 + s)
+    denom = 1.0 + (err_var * p_d_eff).sum()
+    coeffs = p_d_eff * est_var / denom
+    pref = cfg.data_len / cfg.block_len
+    return coeffs, pref
+
+
 def rho_from_estimation(
     alloc: JammerAllocation, cfg: SystemConfig, budget: JammerBudget
 ) -> float:
     """Same scalar as :func:`objective_rho`, via the estimation-variance route.
 
-    Composes :func:`phase_jam_powers` and :func:`lmmse_quality` and assembles
-    the post-detection SINR from the variance split.  Kept as a deliberately
-    independent code path; the algebraic identity with :func:`objective_rho`
-    is enforced by tests.
+    The sum of the per-user coefficients of :func:`_sinr_coeffs`, which the
+    Monte Carlo of :mod:`macjam.rates` prices: each is a user's effective data
+    power times its LMMSE estimate variance, over one plus the error-variance
+    interference.  Kept as a deliberately independent code path; the
+    algebraic identity with :func:`objective_rho` is enforced by tests.
     """
-    p_wt, p_wd = phase_jam_powers(alloc, cfg, budget)
-    p_d_eff = cfg.data_power_vec() / (1.0 + p_wd)
-    num = 0.0
-    den = 1.0
-    for k, user in enumerate(cfg.users):
-        quality = lmmse_quality(user, float(p_wt[k]))
-        num += p_d_eff[k] * quality.est_var
-        den += p_d_eff[k] * quality.err_var
-    return num / den
+    coeffs, _ = _sinr_coeffs(alloc, cfg, budget)
+    return float(coeffs.sum())
 
 
 def rho_value(
@@ -331,3 +340,27 @@ def rho_value(
     den = (p_d / (1.0 + s)).sum(axis=-1)
     gamma = 1.0 / (1.0 + zd * energy / cfg.data_len)
     return gamma * num / (1.0 + gamma * den)
+
+
+_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+
+
+def _golden_section(f, a: float, b: float, tol: float):
+    """Golden-section search for a minimum of the unimodal ``f`` on ``[a, b]``.
+
+    Shrinks the bracket until ``b - a <= tol`` and returns the final one as
+    ``(a, b, c, f(c), d, f(d))`` with ``a <= c <= d <= b``.
+    """
+    c = b - _GOLDEN * (b - a)
+    d = a + _GOLDEN * (b - a)
+    fc, fd = f(c), f(d)
+    while b - a > tol:
+        if fc < fd:
+            b, d, fd = d, c, fc
+            c = b - _GOLDEN * (b - a)
+            fc = f(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + _GOLDEN * (b - a)
+            fd = f(d)
+    return a, b, c, fc, d, fd

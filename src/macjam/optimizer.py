@@ -33,6 +33,7 @@ from .model import (
     JammerAllocation,
     JammerBudget,
     SystemConfig,
+    _golden_section,
     objective_rho,
     rho_value,
     uniform_allocation,
@@ -492,9 +493,6 @@ def _simplex_grid(dim: int, steps: int) -> np.ndarray:
     return np.column_stack([counts, rest]) / steps
 
 
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
-
-
 def _pair_descent(z, cfg, budget, rel_tol: float = 1e-13):
     """Projected coordinate descent on the simplex via pairwise transfers.
 
@@ -525,19 +523,7 @@ def _pair_descent(z, cfg, budget, rel_tol: float = 1e-13):
                     trial[j] = z[j] - t
                     return value(trial)
 
-                a, b = lo, hi
-                c = b - _GOLDEN * (b - a)
-                d = a + _GOLDEN * (b - a)
-                fc, fd = phi(c), phi(d)
-                while b - a > 1e-12:
-                    if fc < fd:
-                        b, d, fd = d, c, fc
-                        c = b - _GOLDEN * (b - a)
-                        fc = phi(c)
-                    else:
-                        a, c, fc = c, d, fd
-                        d = a + _GOLDEN * (b - a)
-                        fd = phi(d)
+                _, _, c, fc, d, fd = _golden_section(phi, lo, hi, 1e-12)
                 t_best, f_best = (c, fc) if fc <= fd else (d, fd)
                 for t_edge in (lo, hi):
                     f_edge = phi(t_edge)

@@ -4,7 +4,9 @@ The achievable rate averages ``log2(1 + SINR)`` over the users' channel
 estimates, whose squared magnitudes are independent exponentials.  Jensen's
 inequality gives the upper bound ``(T_d/T) log2(1 + rho)`` and the lower bound
 ``(T_d/T) log2(1 + rho * exp(-kappa))`` with the same jamming-dependent scalar
-``rho`` in both, kappa being Euler's constant.
+``rho`` in both, kappa being Euler's constant.  The Monte Carlo prices the
+per-user SINR coefficients of :func:`macjam.model._sinr_coeffs`; their sum is
+:func:`macjam.model.rho_from_estimation`, which tests tie to ``rho``.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.random import Generator, Philox, SeedSequence
 
-from .model import JammerAllocation, JammerBudget, SystemConfig, objective_rho, phase_jam_powers
+from .model import JammerAllocation, JammerBudget, SystemConfig, _require_int, _sinr_coeffs, objective_rho
 
 __all__ = [
     "EULER_GAMMA",
@@ -49,13 +51,9 @@ class MonteCarloSettings:
     confidence_z: float = 1.96
 
     def __post_init__(self):
-        if isinstance(self.samples, bool) or not isinstance(self.samples, (int, np.integer)):
-            raise ValueError(f"samples must be an integer, got {self.samples!r}")
-        if self.samples < 1:
+        if _require_int("samples", self.samples) < 1:
             raise ValueError(f"samples must be >= 1, got {self.samples}")
-        if isinstance(self.seed, bool) or not isinstance(self.seed, (int, np.integer)):
-            raise ValueError(f"seed must be an integer, got {self.seed!r}")
-        if self.seed < 0:
+        if _require_int("seed", self.seed) < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
         if not math.isfinite(self.confidence_z) or self.confidence_z <= 0.0:
             raise ValueError(f"confidence_z must be > 0, got {self.confidence_z!r}")
@@ -80,19 +78,6 @@ class RateReport:
                 raise ValueError(f"{name} must be finite and >= 0, got {v!r}")
         if self.r_lb > self.r_ub:
             raise ValueError(f"r_lb {self.r_lb} exceeds r_ub {self.r_ub}")
-
-
-def _sinr_coeffs(alloc, cfg, budget):
-    """Per-user SINR coefficients: sample rate is pref*log2(1 + coeffs @ exp)."""
-    p_wt, p_wd = phase_jam_powers(alloc, cfg, budget)
-    p_d_eff = cfg.data_power_vec() / (1.0 + p_wd)
-    s = cfg.train_power_vec() / (1.0 + p_wt) * cfg.train_len_vec()
-    est_var = s / (1.0 + s)
-    err_var = 1.0 / (1.0 + s)
-    denom = 1.0 + (err_var * p_d_eff).sum()
-    coeffs = p_d_eff * est_var / denom
-    pref = cfg.data_len / cfg.block_len
-    return coeffs, pref
 
 
 def _block_sizes(samples: int) -> list[tuple[int, int]]:

@@ -3,21 +3,22 @@
 A scenario is a small YAML-syntax key/value file describing the block
 structure, the users (either explicit pilot/data powers or an average power
 budget to be split), the jamming budget (single value or a dB sweep), and the
-Monte Carlo settings.  Unknown keys are errors, not warnings; typos in
-scientific configs should fail loudly.
+Monte Carlo settings.  The spec dataclasses below are the only statement of
+the file layout: parsing checks each section's keys against its dataclass's
+fields, and dumping writes the fields back.  Unknown keys are errors, not
+warnings; typos in scientific configs should fail loudly.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from importlib import resources
 from pathlib import Path
 
-import numpy as np
 import yaml
 
-from .model import SystemConfig, UserParams, uniform_allocation
+from .model import SystemConfig, UserParams, _golden_section, uniform_allocation
 from .rates import EULER_GAMMA, MonteCarloSettings
 
 __all__ = [
@@ -83,6 +84,10 @@ class SweepRange:
     step_db: float
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not math.isfinite(value):
+                raise ScenarioError(f"sweep {f.name} must be finite, got {value!r}")
         if self.min_db > self.max_db:
             raise ScenarioError(f"sweep min_db {self.min_db} exceeds max_db {self.max_db}")
         if self.step_db <= 0.0:
@@ -108,17 +113,6 @@ class ScenarioSpec:
     output: str
 
 
-def _require_keys(mapping: dict, allowed: set[str], required: set[str], where: str):
-    if not isinstance(mapping, dict):
-        raise ScenarioError(f"{where} must be a mapping, got {type(mapping).__name__}")
-    for key in mapping:
-        if key not in allowed:
-            raise ScenarioError(f"unknown key {key!r} in {where}")
-    for key in required:
-        if key not in mapping:
-            raise ScenarioError(f"missing required key {key!r} in {where}")
-
-
 def _as_int(value, where: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise ScenarioError(f"{where} must be an integer, got {value!r}")
@@ -131,87 +125,79 @@ def _as_float(value, where: str) -> float:
     return float(value)
 
 
+def _names(cls) -> tuple[str, ...]:
+    return tuple(f.name for f in fields(cls))
+
+
+def _check_keys(cls, raw, where: str, required=()) -> None:
+    """``raw`` must be a mapping of ``cls``'s fields holding the ``required`` ones."""
+    if not isinstance(raw, dict):
+        raise ScenarioError(f"{where} must be a mapping, got {type(raw).__name__}")
+    names = _names(cls)
+    for key in raw:
+        if key not in names:
+            raise ScenarioError(f"unknown key {key!r} in {where}")
+    for name in names:
+        if name in required and name not in raw:
+            raise ScenarioError(f"missing required key {name!r} in {where}")
+
+
+def _section(cls, raw, where: str, required=(), ints=()) -> dict:
+    """Keyword arguments for ``cls`` from the numeric section ``raw`` at ``where``.
+
+    Keys are checked by :func:`_check_keys`.  The fields present are coerced
+    in field order, those in ``ints`` by :func:`_as_int` and the rest by
+    :func:`_as_float`; absent fields take the dataclass default.
+    """
+    _check_keys(cls, raw, where, required)
+    return {
+        name: (_as_int if name in ints else _as_float)(raw[name], f"{where}.{name}")
+        for name in _names(cls)
+        if name in raw
+    }
+
+
+def _check_output(stem) -> str:
+    """The stem names the sweep's ``.csv`` and ``.plot`` files and is pasted into
+    string literals of the plot script, so it must be a plain file-name stem."""
+    if not isinstance(stem, str) or not stem:
+        raise ScenarioError("output must be a non-empty string")
+    # Control characters (Unicode category Cc) are U+0000-U+001F and U+007F-U+009F.
+    if stem in (".", "..") or any(ch in '/\\"' or ch < " " or "\x7f" <= ch <= "\x9f" for ch in stem):
+        raise ScenarioError(
+            f"output {stem!r} must be a file name stem: not . or .., "
+            'and no /, \\, " or control characters'
+        )
+    return stem
+
+
 def parse_scenario(text: str, source: str = "<string>") -> ScenarioSpec:
     try:
         raw = yaml.safe_load(text)
     except yaml.YAMLError as exc:
         raise ScenarioError(f"{source}: parse error: {exc}") from exc
-    _require_keys(
-        raw,
-        allowed={"block_len", "users", "jammer", "mc", "output"},
-        required={"block_len", "users", "jammer", "mc", "output"},
-        where=source,
-    )
+    _check_keys(ScenarioSpec, raw, source, required=_names(ScenarioSpec))
     block_len = _as_int(raw["block_len"], "block_len")
     if not isinstance(raw["users"], list) or not raw["users"]:
         raise ScenarioError("users must be a non-empty list")
-    users = []
-    for idx, entry in enumerate(raw["users"]):
-        where = f"users[{idx}]"
-        _require_keys(
-            entry,
-            allowed={"train_len", "train_power_db", "data_power_db", "avg_power_db"},
-            required={"train_len"},
-            where=where,
-        )
-        users.append(
-            UserSpec(
-                train_len=_as_int(entry["train_len"], f"{where}.train_len"),
-                train_power_db=(
-                    _as_float(entry["train_power_db"], f"{where}.train_power_db")
-                    if "train_power_db" in entry
-                    else None
-                ),
-                data_power_db=(
-                    _as_float(entry["data_power_db"], f"{where}.data_power_db")
-                    if "data_power_db" in entry
-                    else None
-                ),
-                avg_power_db=(
-                    _as_float(entry["avg_power_db"], f"{where}.avg_power_db")
-                    if "avg_power_db" in entry
-                    else None
-                ),
-            )
-        )
-    _require_keys(raw["jammer"], allowed={"power_db", "sweep"}, required=set(), where="jammer")
+    users = tuple(
+        UserSpec(**_section(UserSpec, entry, f"users[{idx}]", required=("train_len",), ints=("train_len",)))
+        for idx, entry in enumerate(raw["users"])
+    )
+    _check_keys(JammerSpec, raw["jammer"], "jammer")
     sweep = None
     if "sweep" in raw["jammer"]:
-        _require_keys(
-            raw["jammer"]["sweep"],
-            allowed={"min_db", "max_db", "step_db"},
-            required={"min_db", "max_db", "step_db"},
-            where="jammer.sweep",
-        )
         sweep = SweepRange(
-            min_db=_as_float(raw["jammer"]["sweep"]["min_db"], "jammer.sweep.min_db"),
-            max_db=_as_float(raw["jammer"]["sweep"]["max_db"], "jammer.sweep.max_db"),
-            step_db=_as_float(raw["jammer"]["sweep"]["step_db"], "jammer.sweep.step_db"),
+            **_section(SweepRange, raw["jammer"]["sweep"], "jammer.sweep", required=_names(SweepRange))
         )
-    jammer = JammerSpec(
-        power_db=(
-            _as_float(raw["jammer"]["power_db"], "jammer.power_db")
-            if "power_db" in raw["jammer"]
-            else None
-        ),
-        sweep=sweep,
-    )
-    _require_keys(
-        raw["mc"], allowed={"samples", "seed", "confidence_z"}, required={"samples", "seed"}, where="mc"
-    )
-    mc = MonteCarloSettings(
-        samples=_as_int(raw["mc"]["samples"], "mc.samples"),
-        seed=_as_int(raw["mc"]["seed"], "mc.seed"),
-        confidence_z=(
-            _as_float(raw["mc"]["confidence_z"], "mc.confidence_z")
-            if "confidence_z" in raw["mc"]
-            else 1.96
-        ),
-    )
-    if not isinstance(raw["output"], str) or not raw["output"]:
-        raise ScenarioError("output must be a non-empty string")
+    power_db = None
+    if "power_db" in raw["jammer"]:
+        power_db = _as_float(raw["jammer"]["power_db"], "jammer.power_db")
+    jammer = JammerSpec(power_db=power_db, sweep=sweep)
+    counts = ("samples", "seed")
+    mc = MonteCarloSettings(**_section(MonteCarloSettings, raw["mc"], "mc", required=counts, ints=counts))
     spec = ScenarioSpec(
-        block_len=block_len, users=tuple(users), jammer=jammer, mc=mc, output=raw["output"]
+        block_len=block_len, users=users, jammer=jammer, mc=mc, output=_check_output(raw["output"])
     )
     # Surface structural problems (e.g. training longer than the block) now.
     to_system_config(spec)
@@ -224,36 +210,9 @@ def load_scenario(path) -> ScenarioSpec:
 
 
 def dump_scenario(spec: ScenarioSpec) -> str:
-    users = []
-    for u in spec.users:
-        entry: dict = {"train_len": u.train_len}
-        if u.avg_power_db is not None:
-            entry["avg_power_db"] = u.avg_power_db
-        else:
-            entry["train_power_db"] = u.train_power_db
-            entry["data_power_db"] = u.data_power_db
-        users.append(entry)
-    if spec.jammer.sweep is not None:
-        jammer = {
-            "sweep": {
-                "min_db": spec.jammer.sweep.min_db,
-                "max_db": spec.jammer.sweep.max_db,
-                "step_db": spec.jammer.sweep.step_db,
-            }
-        }
-    else:
-        jammer = {"power_db": spec.jammer.power_db}
-    doc = {
-        "block_len": spec.block_len,
-        "users": users,
-        "jammer": jammer,
-        "mc": {
-            "samples": spec.mc.samples,
-            "seed": spec.mc.seed,
-            "confidence_z": spec.mc.confidence_z,
-        },
-        "output": spec.output,
-    }
+    """The scenario file of ``spec``: its fields in order, unset (``None``) ones left out."""
+    doc = asdict(spec, dict_factory=lambda items: {k: v for k, v in items if v is not None})
+    doc["users"] = list(doc["users"])
     return yaml.safe_dump(doc, sort_keys=False)
 
 
@@ -272,9 +231,6 @@ def split_for_fraction(
         raise ValueError(f"train_fraction must lie in (0, 1), got {train_fraction}")
     energy = avg_power * block_len
     return train_fraction * energy / train_len, (1.0 - train_fraction) * energy / data_len
-
-
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 def budget_split(
@@ -298,19 +254,7 @@ def budget_split(
         rho = (p_d * s / (1.0 + s)) / (1.0 + p_d / (1.0 + s))
         return data_len / block_len * math.log2(1.0 + rho * math.exp(-EULER_GAMMA))
 
-    a, b = 1e-12, 1.0 - 1e-12
-    c = b - _GOLDEN * (b - a)
-    d = a + _GOLDEN * (b - a)
-    fc, fd = lb(c), lb(d)
-    while b - a > 1e-13:
-        if fc > fd:
-            b, d, fd = d, c, fc
-            c = b - _GOLDEN * (b - a)
-            fc = lb(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _GOLDEN * (b - a)
-            fd = lb(d)
+    a, b, *_ = _golden_section(lambda fraction: -lb(fraction), 1e-12, 1.0 - 1e-12, 1e-13)
     return split_for_fraction(avg_power, train_len, block_len, data_len, 0.5 * (a + b))
 
 

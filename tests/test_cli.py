@@ -6,6 +6,7 @@ import yaml
 
 import macjam as mj
 from macjam.cli import csv_columns, main
+from macjam.optimizer import SolverError
 
 DATA = Path(__file__).parent / "data"
 
@@ -147,6 +148,8 @@ def test_exit_codes(tmp_path, capsys):
     # sweep scenario without --pw-db cannot define a point
     assert main(["rates", fig2_path(), "--alloc", "uniform"]) == 2
     capsys.readouterr()
+    assert main(["rates", fig2_path(), "--pw-db", "0", "--alloc", "bogus"]) == 2
+    assert capsys.readouterr().err.startswith("error: unknown allocation choice 'bogus'")
 
 
 def test_worker_count_below_one_is_a_configuration_error(tmp_path, capsys):
@@ -198,13 +201,20 @@ def test_rates_rejects_non_simplex_allocation_file(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "alloc", [{"zeta_t": 0.5, "zeta_d": 0.5}, {"zeta_t": [0.4, 0.4], "zeta_d": None}]
+    "alloc",
+    [
+        {"zeta_t": 0.5, "zeta_d": 0.5},
+        {"zeta_t": [0.4, 0.4], "zeta_d": None},
+        "zeta_t: [0.5\n",  # YAML parse error
+        {"zeta_t": [0.4, 0.4], "zeta_d": 0.2, "extra": 1},
+        {"zeta_t": [0.5], "zeta_d": 0.5},  # one ratio for two users
+    ],
 )
 def test_rates_rejects_malformed_allocation_file(tmp_path, capsys, alloc):
     path = tmp_path / "sym.scenario"
     path.write_text(TWO_USER_POINT)
     alloc_file = tmp_path / "alloc.yaml"
-    alloc_file.write_text(yaml.safe_dump(alloc))
+    alloc_file.write_text(alloc if isinstance(alloc, str) else yaml.safe_dump(alloc))
     assert main(["rates", str(path), "--alloc", f"file:{alloc_file}"]) == 2
     err = capsys.readouterr().err
     assert any(line.startswith("error:") for line in err.splitlines())
@@ -250,3 +260,39 @@ def test_plot_script_mentions_all_columns(tiny_scenario, tmp_path):
     for col in ("r_mc_opt", "r_mc_unif", "zeta_d"):
         assert col in script
     compile(script, "tiny.plot", "exec")  # must at least be valid python
+
+
+@pytest.mark.parametrize("old, new", [("max_db: 10.0", "max_db: .inf"), ("step_db: 5.0", "step_db: .nan")])
+def test_sweep_rejects_non_finite_sweep_bound(tmp_path, capsys, old, new):
+    path = tmp_path / "tiny.scenario"
+    path.write_text(TINY.replace(old, new))
+    assert main(["sweep", str(path), "--outdir", str(tmp_path / "out")]) == 2
+    assert new.split(":")[0] in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("stem", ["../escaped", 'a"b'])
+def test_sweep_rejects_output_that_is_not_a_plain_stem(tmp_path, capsys, stem):
+    path = tmp_path / "tiny.scenario"
+    path.write_text(TINY.replace("output: tiny", f"output: '{stem}'"))
+    out = tmp_path / "out"
+    assert main(["sweep", str(path), "--outdir", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: output ")
+    assert not list(tmp_path.rglob("*.csv")) and not list(tmp_path.rglob("*.plot"))
+
+
+def test_solver_failure_exits_1(tmp_path, capsys, monkeypatch):
+    def fail(cfg, budget, tol=1e-10):
+        raise SolverError("no certified candidate", 1.0)
+
+    monkeypatch.setattr("macjam.cli.solve", fail)
+    point = tmp_path / "sym.scenario"
+    point.write_text(TWO_USER_POINT)
+    assert main(["optimize", str(point)]) == 1
+    assert capsys.readouterr().err.startswith("solver failure: no certified candidate")
+    sweep = tmp_path / "tiny.scenario"
+    sweep.write_text(TINY)
+    assert main(["sweep", str(sweep), "--outdir", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("solver failure: sweep failed at P_w = 0.0 dB: no certified candidate")
+    assert not (tmp_path / "out").exists()

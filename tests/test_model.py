@@ -177,6 +177,8 @@ def test_rho_hand_value():
 
 
 def test_rho_two_independent_paths_agree():
+    # rho_from_estimation sums the per-user SINR coefficients the Monte Carlo
+    # prices, so this also ties those coefficients to objective_rho.
     rng = np.random.default_rng(123)
     for _ in range(1000):
         cfg = random_config(rng)

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -220,3 +221,29 @@ def test_sweep_values_respect_step():
     assert sweep_db_values(spec) == [-3.0, -1.5, 0.0, 1.5, 3.0]
     with pytest.raises(ScenarioError):
         sweep_db_values(parse_scenario(GOOD))
+
+
+def test_missing_required_keys_are_named_in_field_order():
+    bad = GOOD.replace("block_len: 100\n", "").replace("output: demo\n", "")
+    with pytest.raises(ScenarioError, match="missing required key 'block_len' in"):
+        parse_scenario(bad)
+    bad = GOOD.replace("  samples: 1000\n  seed: 4\n", "  confidence_z: 2.0\n")
+    with pytest.raises(ScenarioError, match="missing required key 'samples' in mc"):
+        parse_scenario(bad)
+
+
+@pytest.mark.parametrize("field", ["min_db", "max_db", "step_db"])
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+def test_sweep_range_rejects_non_finite_fields(field, value):
+    bounds = {"min_db": 0.0, "max_db": 1.0, "step_db": 1.0, field: value}
+    with pytest.raises(ScenarioError, match=f"sweep {field} must be finite"):
+        SweepRange(**bounds)
+
+
+@pytest.mark.parametrize(
+    "stem", [".", "..", "../up", "a/b", "/abs", "a\\b", 'a"b', "a\nb", "a\tb", "a\x00b", "a\x7fb", "a\x85b"]
+)
+def test_output_must_be_a_plain_stem(stem):
+    # A JSON string is a YAML double-quoted scalar, escapes included.
+    with pytest.raises(ScenarioError, match="output .* must be a file name stem"):
+        parse_scenario(GOOD.replace("output: demo", f"output: {json.dumps(stem)}"))
