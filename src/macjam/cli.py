@@ -9,8 +9,9 @@ import argparse
 import csv
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
+from typing import get_type_hints
 
 import yaml
 
@@ -37,7 +38,9 @@ EXIT_CONFIG = 2
 
 @dataclass(frozen=True)
 class SweepRow:
-    """One jamming-power grid point: optimal allocation plus both rate reports."""
+    """One jamming-power grid point: optimal allocation plus both rate reports.
+
+    The field order is the sweep CSV's column order (see :func:`csv_columns`)."""
 
     pw_db: float
     zeta_t: tuple[float, ...]
@@ -51,23 +54,18 @@ class SweepRow:
 
 
 def csv_columns(n_users: int) -> list[str]:
-    cols = ["pw_db"]
-    cols += [f"zeta_t_{k + 1}" for k in range(n_users)]
-    cols += [
-        "zeta_d",
-        "rho_star",
-        "r_lb_opt",
-        "r_mc_opt",
-        "r_mc_halfwidth_opt",
-        "r_ub_opt",
-        "r_lb_unif",
-        "r_mc_unif",
-        "r_mc_halfwidth_unif",
-        "r_ub_unif",
-        "rate_reduction_pct",
-        "method",
-        "kkt_residual",
-    ]
+    """The sweep CSV header: the fields of :class:`SweepRow` in order, ``zeta_t`` as one
+    column per user and each report as one column per :class:`RateReport` field, suffixed
+    with the report's name (``r_mc_opt``)."""
+    hints = get_type_hints(SweepRow)
+    cols = []
+    for f in fields(SweepRow):
+        if f.name == "zeta_t":
+            cols += [f"zeta_t_{k + 1}" for k in range(n_users)]
+        elif hints[f.name] is RateReport:
+            cols += [f"{r.name}_{f.name}" for r in fields(RateReport)]
+        else:
+            cols.append(f.name)
     return cols
 
 
@@ -82,6 +80,8 @@ SWEEP_BANK_MAX_BYTES = 64 * 2**20
 
 def run_sweep(spec: ScenarioSpec, workers: int = 1) -> list[SweepRow]:
     _check_count("workers", workers)
+    # Every grid point is converted before the first solve, so one out of range fails at once.
+    points = [(pw_db, JammerBudget(db_to_linear(pw_db))) for pw_db in sweep_db_values(spec)]
     cfg = to_system_config(spec)
     unif_alloc = uniform_allocation(cfg)
     # Every report of a sweep shares one seed: draw its samples once if they fit.
@@ -89,8 +89,7 @@ def run_sweep(spec: ScenarioSpec, workers: int = 1) -> list[SweepRow]:
     if spec.mc.samples * cfg.n_users * 8 <= SWEEP_BANK_MAX_BYTES:
         bank = draw_samples(spec.mc, cfg.n_users)
     rows = []
-    for pw_db in sweep_db_values(spec):
-        budget = JammerBudget(db_to_linear(pw_db))
+    for pw_db, budget in points:
         try:
             result = solve(cfg, budget)
         except SolverError as exc:
@@ -114,30 +113,26 @@ def run_sweep(spec: ScenarioSpec, workers: int = 1) -> list[SweepRow]:
     return rows
 
 
+def _cells(row: SweepRow) -> list[str]:
+    """The CSV cells of ``row``, in the order of :func:`csv_columns`."""
+    cells = []
+    for f in fields(row):
+        value = getattr(row, f.name)
+        if isinstance(value, RateReport):
+            cells += [_fmt(getattr(value, r.name)) for r in fields(RateReport)]
+        elif isinstance(value, tuple):
+            cells += [_fmt(v) for v in value]
+        else:
+            cells.append(value if isinstance(value, str) else _fmt(value))
+    return cells
+
+
 def write_csv(rows: list[SweepRow], n_users: int, path: Path) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(csv_columns(n_users))
         for r in rows:
-            writer.writerow(
-                [_fmt(r.pw_db)]
-                + [_fmt(z) for z in r.zeta_t]
-                + [
-                    _fmt(r.zeta_d),
-                    _fmt(r.rho_star),
-                    _fmt(r.opt.r_lb),
-                    _fmt(r.opt.r_mc),
-                    _fmt(r.opt.r_mc_halfwidth),
-                    _fmt(r.opt.r_ub),
-                    _fmt(r.unif.r_lb),
-                    _fmt(r.unif.r_mc),
-                    _fmt(r.unif.r_mc_halfwidth),
-                    _fmt(r.unif.r_ub),
-                    _fmt(r.rate_reduction_pct),
-                    r.method,
-                    _fmt(r.kkt_residual),
-                ]
-            )
+            writer.writerow(_cells(r))
 
 
 _PLOT_TEMPLATE = '''#!/usr/bin/env python3
@@ -202,20 +197,18 @@ def _print_result(result: SolveResult) -> None:
     print("pinned at zero: " + (", ".join(pinned) if pinned else "none"))
 
 
-def _point_budget(spec: ScenarioSpec, pw_db_override: float | None) -> tuple[float, JammerBudget]:
-    if pw_db_override is not None:
-        pw_db = pw_db_override
-    elif spec.jammer.power_db is not None:
-        pw_db = spec.jammer.power_db
-    else:
+def _load_point(args) -> tuple[ScenarioSpec, SystemConfig, float, JammerBudget]:
+    """Scenario, config and P_w (dB, linear) of a one-point command: ``--pw-db`` or ``power_db``."""
+    spec = load_scenario(args.scenario)
+    cfg = to_system_config(spec)
+    pw_db = args.pw_db if args.pw_db is not None else spec.jammer.power_db
+    if pw_db is None:
         raise ScenarioError("scenario defines a sweep; pass --pw-db to pick a single point")
-    return pw_db, JammerBudget(db_to_linear(pw_db))
+    return spec, cfg, pw_db, JammerBudget(db_to_linear(pw_db))
 
 
 def _cmd_optimize(args) -> int:
-    spec = load_scenario(args.scenario)
-    cfg = to_system_config(spec)
-    pw_db, budget = _point_budget(spec, args.pw_db)
+    _, cfg, pw_db, budget = _load_point(args)
     print(f"P_w = {pw_db:g} dB")
     result = solve(cfg, budget)
     _print_result(result)
@@ -253,9 +246,7 @@ def _load_alloc_file(path: str, cfg: SystemConfig) -> JammerAllocation:
 
 
 def _cmd_rates(args) -> int:
-    spec = load_scenario(args.scenario)
-    cfg = to_system_config(spec)
-    pw_db, budget = _point_budget(spec, args.pw_db)
+    spec, cfg, pw_db, budget = _load_point(args)
     if args.alloc == "uniform":
         alloc = uniform_allocation(cfg)
     elif args.alloc == "optimal":
@@ -274,22 +265,19 @@ def _cmd_rates(args) -> int:
 
 def _cmd_sweep(args) -> int:
     spec = load_scenario(args.scenario)
-    cfg = to_system_config(spec)
     rows = run_sweep(spec, workers=args.workers)
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     csv_path = outdir / f"{spec.output}.csv"
     plot_path = outdir / f"{spec.output}.plot"
-    write_csv(rows, cfg.n_users, csv_path)
-    write_plot_script(spec.output, cfg.n_users, plot_path)
+    write_csv(rows, len(spec.users), csv_path)
+    write_plot_script(spec.output, len(spec.users), plot_path)
     print(f"wrote {csv_path} ({len(rows)} rows) and {plot_path}")
     return EXIT_OK
 
 
 def _cmd_oracle_check(args) -> int:
-    spec = load_scenario(args.scenario)
-    cfg = to_system_config(spec)
-    pw_db, budget = _point_budget(spec, args.pw_db)
+    _, cfg, pw_db, budget = _load_point(args)
     kkt = solve_kkt(cfg, budget)
     oracle = solve_oracle(cfg, budget, grid_resolution=args.grid)
     gap = oracle.rho_star - kkt.rho_star

@@ -222,6 +222,11 @@ class EstimationQuality:
         object.__setattr__(self, "err_var", err)
 
 
+def _require_same_users(alloc: JammerAllocation, cfg: SystemConfig) -> None:
+    if alloc.n_users != cfg.n_users:
+        raise ValueError(f"allocation has {alloc.n_users} training ratios but config has {cfg.n_users} users")
+
+
 def phase_jam_powers(
     alloc: JammerAllocation, cfg: SystemConfig, budget: JammerBudget
 ) -> tuple[np.ndarray, float]:
@@ -232,10 +237,7 @@ def phase_jam_powers(
     phase with ``zeta_d * P_w * T / T_d``.  The phase energies always add back
     up to the total budget energy ``P_w * T``.
     """
-    if alloc.n_users != cfg.n_users:
-        raise ValueError(
-            f"allocation has {alloc.n_users} training ratios but config has {cfg.n_users} users"
-        )
+    _require_same_users(alloc, cfg)
     energy = budget.avg_power * cfg.block_len
     p_wt = alloc.zeta_t_vec() * energy / cfg.train_len_vec()
     p_wd = alloc.zeta_d * energy / cfg.data_len
@@ -269,10 +271,7 @@ def alpha_beta_gamma(
     and ``gamma = 1 / (1 + zeta_d * P_w * T / T_d)``.  ``alpha_k`` falls and
     ``beta_k`` rises as the training jamming share grows.
     """
-    if alloc.n_users != cfg.n_users:
-        raise ValueError(
-            f"allocation has {alloc.n_users} training ratios but config has {cfg.n_users} users"
-        )
+    _require_same_users(alloc, cfg)
     p_t = cfg.train_power_vec()
     p_d = cfg.data_power_vec()
     t_t = cfg.train_len_vec()

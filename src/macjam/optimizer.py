@@ -24,7 +24,7 @@ and a multi-start projected gradient descent.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -33,6 +33,7 @@ from .model import (
     JammerAllocation,
     JammerBudget,
     SystemConfig,
+    UserParams,
     _golden_section,
     objective_rho,
     rho_value,
@@ -54,8 +55,10 @@ __all__ = [
     "check_corollary_orderings",
 ]
 
-# Coordinates at or below this are treated as pinned at zero.
+# Coordinates at or below ACTIVE_TOL are treated as pinned at zero.  Every
+# allocation solve returns carries a KKT residual (its certificate) <= CERT_TOL.
 ACTIVE_TOL = 1e-9
+CERT_TOL = 1e-10
 
 # Relative slack of the sign checks in the screen (_screen_active_sets).  The
 # screen rounds differently from the exact solve, so a candidate the exact
@@ -71,9 +74,13 @@ ORACLE_MAX_GRID_POINTS = 2_000_000  # larger grids switch to Dirichlet sampling
 ORACLE_SEARCH_SAMPLES = 50_000
 ORACLE_SEED = 12345
 ORACLE_MAX_SWEEPS = 200
+ORACLE_REL_TOL = 1e-13  # pair descent stops when a sweep gains less, relative to rho
 DESCENT_TOL = 1e-9
 DESCENT_MAX_ITER = 5000
 DESCENT_SEED = 777
+
+# The one UserParams field in which a user pair differs, per corollary.
+_COROLLARY_FIELD = {1: "data_power", 2: "train_power", 3: "train_len"}
 
 METHOD_KKT = "kkt_active_set"
 METHOD_CLOSED_FORM = "closed_form"
@@ -342,6 +349,11 @@ def _enumerate_active_sets(sys: _Sys):
     return (None if best is None else best[1:]), int(solvable.sum())
 
 
+def _require_positive_budget(budget: JammerBudget, solver: str) -> None:
+    if budget.avg_power <= 0.0:
+        raise ValueError(f"{solver} requires a positive jamming budget")
+
+
 def _flat_result(cfg: SystemConfig, budget: JammerBudget, method: str) -> SolveResult:
     # Objective is constant (no data power anywhere, or a zero budget): every
     # point is optimal.
@@ -393,7 +405,7 @@ def _build_result(
     )
 
 
-def solve_kkt(cfg: SystemConfig, budget: JammerBudget, tol: float = 1e-10) -> SolveResult:
+def solve_kkt(cfg: SystemConfig, budget: JammerBudget) -> SolveResult:
     """Primary solver: exact solves on the 2K+1 candidate free sets.
 
     One vectorized pass solves every candidate and applies the primal and
@@ -403,10 +415,9 @@ def solve_kkt(cfg: SystemConfig, budget: JammerBudget, tol: float = 1e-10) -> So
     the smallest residual is returned, with ``iterations`` counting the
     candidates that had a solution to sign-check.  Raises
     :class:`SolverError` when no candidate passes or the returned allocation
-    does not certify to ``tol``.
+    does not certify to ``CERT_TOL``.
     """
-    if budget.avg_power <= 0.0:
-        raise ValueError("solve_kkt requires a positive jamming budget")
+    _require_positive_budget(budget, "solve_kkt")
     sys = _sys(cfg, budget)
     if sys.S == 0.0:
         return _flat_result(cfg, budget, METHOD_KKT)
@@ -415,7 +426,7 @@ def solve_kkt(cfg: SystemConfig, budget: JammerBudget, tol: float = 1e-10) -> So
         raise SolverError("no candidate free set passed the sign checks", math.inf)
     zt, zd, nu = best
     result = _build_result(cfg, budget, sys, zt, zd, METHOD_KKT, tried, nu=nu)
-    if result.kkt_residual > tol:
+    if result.kkt_residual > CERT_TOL:
         raise SolverError("no candidate free set certifies the optimum", result.kkt_residual)
     return result
 
@@ -432,8 +443,7 @@ def solve_closed_form(cfg: SystemConfig, budget: JammerBudget) -> SolveResult | 
     Returns None when any component is nonpositive ("not interior"); callers
     should then fall back to :func:`solve_kkt`.
     """
-    if budget.avg_power <= 0.0:
-        raise ValueError("solve_closed_form requires a positive jamming budget")
+    _require_positive_budget(budget, "solve_closed_form")
     sys = _sys(cfg, budget)
     w = sys.w
     eta = float(w.sum())
@@ -462,8 +472,8 @@ def solve_asymptotic(cfg: SystemConfig) -> JammerAllocation:
     return JammerAllocation(tuple(w / (2.0 * eta)), 0.5)
 
 
-def solve(cfg: SystemConfig, budget: JammerBudget, tol: float = 1e-10) -> SolveResult:
-    """Closed form when its validity condition holds, :func:`solve_kkt` otherwise.
+def solve(cfg: SystemConfig, budget: JammerBudget) -> SolveResult:
+    """Closed form when it is interior and certifies to ``CERT_TOL``, :func:`solve_kkt` otherwise.
 
     A zero budget makes the objective independent of the allocation; it
     returns the duration-proportional split with ``nu_star`` and residual 0.
@@ -471,9 +481,9 @@ def solve(cfg: SystemConfig, budget: JammerBudget, tol: float = 1e-10) -> SolveR
     if budget.avg_power == 0.0:
         return _flat_result(cfg, budget, METHOD_KKT)
     result = solve_closed_form(cfg, budget)
-    if result is not None and result.kkt_residual <= tol:
+    if result is not None and result.kkt_residual <= CERT_TOL:
         return result
-    return solve_kkt(cfg, budget, tol)
+    return solve_kkt(cfg, budget)
 
 
 def _simplex_grid(dim: int, steps: int) -> np.ndarray:
@@ -493,7 +503,7 @@ def _simplex_grid(dim: int, steps: int) -> np.ndarray:
     return np.column_stack([counts, rest]) / steps
 
 
-def _pair_descent(z, cfg, budget, rel_tol: float = 1e-13):
+def _pair_descent(z, cfg, budget):
     """Projected coordinate descent on the simplex via pairwise transfers.
 
     Moving mass t from coordinate j to coordinate i keeps the simplex exact;
@@ -535,7 +545,7 @@ def _pair_descent(z, cfg, budget, rel_tol: float = 1e-13):
                     z[i] = max(z[i], 0.0)
                     z[j] = max(z[j], 0.0)
                     best = f_best
-        if start - best <= rel_tol * max(1.0, abs(start)):
+        if start - best <= ORACLE_REL_TOL * max(1.0, abs(start)):
             break
     return z, best, sweeps
 
@@ -624,8 +634,7 @@ def solve_projected_descent(
     infinite-budget limit and one seeded random point) keep a single poor
     start from deciding the result.
     """
-    if budget.avg_power <= 0.0:
-        raise ValueError("solve_projected_descent requires a positive jamming budget")
+    _require_positive_budget(budget, "solve_projected_descent")
     k = cfg.n_users
     if starts is None:
         rng = np.random.default_rng(DESCENT_SEED)
@@ -648,34 +657,18 @@ def solve_projected_descent(
 def check_corollary_orderings(result: SolveResult, cfg: SystemConfig) -> list[OrderingVerdict]:
     """Pairwise sanity checks of the optimal training-jamming shares.
 
-    For user pairs that differ in exactly one parameter, the user with the
-    larger data power, larger training power, or longer training window should
-    receive at least as much jamming energy.  Verdicts allow solver-level
-    slack of ``ACTIVE_TOL``.
+    For user pairs that differ in exactly one parameter (``_COROLLARY_FIELD``),
+    the user with the larger data power, larger training power, or longer
+    training window should receive at least as much jamming energy.  Verdicts
+    allow solver-level slack of ``ACTIVE_TOL``.
     """
     zt = result.alloc.zeta_t
     verdicts = []
-    for corollary in (1, 2, 3):
-        for i in range(cfg.n_users):
-            for j in range(cfg.n_users):
-                if i == j:
-                    continue
-                a, b = cfg.users[i], cfg.users[j]
-                if corollary == 1:
-                    match = a.train_len == b.train_len and a.train_power == b.train_power and a.data_power > b.data_power
-                elif corollary == 2:
-                    match = a.train_len == b.train_len and a.data_power == b.data_power and a.train_power > b.train_power
-                else:
-                    match = a.train_power == b.train_power and a.data_power == b.data_power and a.train_len > b.train_len
-                if match:
-                    verdicts.append(
-                        OrderingVerdict(
-                            corollary=corollary,
-                            user_hi=i,
-                            user_lo=j,
-                            zeta_hi=zt[i],
-                            zeta_lo=zt[j],
-                            passed=zt[i] >= zt[j] - ACTIVE_TOL,
-                        )
-                    )
+    for corollary, name in _COROLLARY_FIELD.items():
+        same = [f.name for f in fields(UserParams) if f.name != name]
+        for i, a in enumerate(cfg.users):
+            for j, b in enumerate(cfg.users):
+                if getattr(a, name) > getattr(b, name) and all(getattr(a, n) == getattr(b, n) for n in same):
+                    passed = zt[i] >= zt[j] - ACTIVE_TOL
+                    verdicts.append(OrderingVerdict(corollary, i, j, zt[i], zt[j], passed))
     return verdicts

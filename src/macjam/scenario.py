@@ -47,7 +47,11 @@ class ScenarioError(ValueError):
 
 
 def db_to_linear(db: float) -> float:
-    return 10.0 ** (db / 10.0)
+    """Linear power of ``db``; a value whose power overflows a float is a ``ValueError``."""
+    try:
+        return 10.0 ** (db / 10.0)
+    except OverflowError:
+        raise ValueError(f"{db!r} dB is too large to express as a linear power") from None
 
 
 def linear_to_db(linear: float) -> float:
@@ -92,6 +96,8 @@ class SweepRange:
             raise ScenarioError(f"sweep min_db {self.min_db} exceeds max_db {self.max_db}")
         if self.step_db <= 0.0:
             raise ScenarioError(f"sweep step_db must be > 0, got {self.step_db}")
+        if not math.isfinite((self.max_db - self.min_db) / self.step_db):
+            raise ScenarioError(f"sweep (max_db - min_db) / step_db overflows: {self}")
 
 
 @dataclass(frozen=True)
@@ -225,10 +231,13 @@ def split_for_fraction(
 ) -> tuple[float, float]:
     """Powers implied by putting the given fraction of the block energy into pilots.
 
-    By construction ``P_t * train_len + P_d * data_len = avg_power * block_len``.
+    By construction ``P_t * train_len + P_d * data_len = avg_power * block_len``;
+    both lengths must be at least 1.
     """
     if not 0.0 < train_fraction < 1.0:
         raise ValueError(f"train_fraction must lie in (0, 1), got {train_fraction}")
+    if train_len < 1 or data_len < 1:
+        raise ValueError(f"train_len and data_len must be >= 1, got {train_len} and {data_len}")
     energy = avg_power * block_len
     return train_fraction * energy / train_len, (1.0 - train_fraction) * energy / data_len
 
@@ -259,7 +268,11 @@ def budget_split(
 
 
 def to_system_config(spec: ScenarioSpec) -> SystemConfig:
-    """Resolve dB fields and budget-form users into a concrete system config."""
+    """Resolve dB fields and budget-form users into a concrete system config.
+
+    A user that does not resolve (an overflowing dB value, a budget that cannot
+    be split, invalid powers) raises :class:`ScenarioError` naming ``users[idx]``.
+    """
     total_train = sum(u.train_len for u in spec.users)
     data_len = spec.block_len - total_train
     if data_len < 1:
@@ -268,14 +281,14 @@ def to_system_config(spec: ScenarioSpec) -> SystemConfig:
         )
     users = []
     for idx, u in enumerate(spec.users):
-        if u.avg_power_db is not None:
-            p_t, p_d = budget_split(
-                db_to_linear(u.avg_power_db), u.train_len, spec.block_len, data_len
-            )
-        else:
-            p_t = db_to_linear(u.train_power_db)
-            p_d = db_to_linear(u.data_power_db)
         try:
+            if u.avg_power_db is not None:
+                p_t, p_d = budget_split(
+                    db_to_linear(u.avg_power_db), u.train_len, spec.block_len, data_len
+                )
+            else:
+                p_t = db_to_linear(u.train_power_db)
+                p_d = db_to_linear(u.data_power_db)
             users.append(UserParams(train_power=p_t, data_power=p_d, train_len=u.train_len))
         except ValueError as exc:
             raise ScenarioError(f"users[{idx}]: {exc}") from exc

@@ -1,3 +1,6 @@
+import runpy
+import sys
+import types
 from pathlib import Path
 
 import numpy as np
@@ -253,13 +256,72 @@ def test_oracle_check_reports_small_discrepancy(tmp_path, capsys):
     assert abs(gap) < 1e-4
 
 
-def test_plot_script_mentions_all_columns(tiny_scenario, tmp_path):
+def test_plot_script_mentions_all_columns(tiny_scenario, tmp_path, monkeypatch):
     assert main(["sweep", str(tiny_scenario), "--outdir", str(tmp_path)]) == 0
     script = (tmp_path / "tiny.plot").read_text()
     assert "tiny.csv" in script
     for col in ("r_mc_opt", "r_mc_unif", "zeta_d"):
         assert col in script
-    compile(script, "tiny.plot", "exec")  # must at least be valid python
+    # The script names CSV columns a third time (after SweepRow and
+    # csv_columns): run it on its CSV with a stub pyplot, so a column it reads
+    # but the CSV lacks raises KeyError here.
+    curves = []
+
+    class Stub:
+        def plot(self, x, y, *args, **kwargs):
+            curves.append((list(x), list(y)))
+
+        def __getattr__(self, name):
+            return lambda *args, **kwargs: None
+
+    pyplot = types.ModuleType("matplotlib.pyplot")
+    pyplot.subplots = lambda **kwargs: (Stub(), Stub())
+    matplotlib = types.ModuleType("matplotlib")
+    matplotlib.pyplot = pyplot
+    monkeypatch.setitem(sys.modules, "matplotlib", matplotlib)
+    monkeypatch.setitem(sys.modules, "matplotlib.pyplot", pyplot)
+    monkeypatch.chdir(tmp_path)
+    runpy.run_path("tiny.plot", run_name="__main__")
+    # Six rate curves, then zeta_t_1 and zeta_d, each over the three sweep points.
+    assert len(curves) == 8
+    assert all(x == [0.0, 5.0, 10.0] and len(y) == 3 for x, y in curves)
+
+
+BUDGET_USER = TWO_USER_POINT.replace("train_power_db: 10.0\n    data_power_db: 10.0", "avg_power_db: 10.0", 1)
+
+
+@pytest.mark.parametrize(
+    "text, argv, message",
+    [
+        (TWO_USER_POINT.replace("data_power_db: 10.0", "data_power_db: 4000", 1), ["optimize"],
+         "users[0]: 4000.0 dB is too large"),
+        (TWO_USER_POINT.replace("power_db: 5.0", "power_db: 4000"), ["optimize"], "4000.0 dB is too large"),
+        (TWO_USER_POINT, ["optimize", "--pw-db", "4000"], "4000.0 dB is too large"),
+        (TWO_USER_POINT, ["rates", "--alloc", "uniform", "--pw-db", "4000"], "4000.0 dB is too large"),
+        (TWO_USER_POINT, ["oracle-check", "--pw-db", "4000"], "4000.0 dB is too large"),
+        # Every point is converted before the first solve; 3085 dB is the first that overflows.
+        (TINY.replace("max_db: 10.0", "max_db: 4000.0"), ["sweep"], "3085.0 dB is too large"),
+        (BUDGET_USER.replace("train_len: 1", "train_len: 0", 1), ["optimize"],
+         "users[0]: train_len and data_len must be >= 1, got 0"),
+        (BUDGET_USER.replace("avg_power_db: 10.0", "avg_power_db: -1.0e+308"), ["optimize"],
+         "users[0]: avg_power must be > 0, got 0.0"),
+        (TINY.replace("min_db: 0.0, max_db: 10.0, step_db: 5.0", "min_db: -1.0e+308, max_db: 1.0e+308, step_db: 1.0"),
+         ["sweep"], "sweep (max_db - min_db) / step_db overflows"),
+    ],
+    ids=["user_db", "jammer_db", "pw_db", "rates_pw_db", "oracle_pw_db", "sweep_db",
+         "budget_train_len_0", "budget_tiny_avg_power", "sweep_point_count"],
+)
+def test_out_of_range_scenario_values_are_configuration_errors(tmp_path, capsys, text, argv, message):
+    path = tmp_path / "case.scenario"
+    path.write_text(text)
+    out = tmp_path / "out"
+    extra = ["--outdir", str(out)] if argv[0] == "sweep" else []
+    extra += ["--out", str(out)] if argv[0] == "optimize" else []
+    assert main([argv[0], str(path), *argv[1:], *extra]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err, err
+    assert "Traceback" not in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("old, new", [("max_db: 10.0", "max_db: .inf"), ("step_db: 5.0", "step_db: .nan")])
@@ -282,7 +344,7 @@ def test_sweep_rejects_output_that_is_not_a_plain_stem(tmp_path, capsys, stem):
 
 
 def test_solver_failure_exits_1(tmp_path, capsys, monkeypatch):
-    def fail(cfg, budget, tol=1e-10):
+    def fail(cfg, budget):
         raise SolverError("no certified candidate", 1.0)
 
     monkeypatch.setattr("macjam.cli.solve", fail)

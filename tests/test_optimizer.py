@@ -100,7 +100,7 @@ def test_solve_kkt_data_free_with_tiny_pinned_data_power():
         assert res.kkt_residual <= 1e-10
 
 
-def _reference_solve_kkt(cfg, budget, tol=1e-10):
+def _reference_solve_kkt(cfg, budget):
     """``solve_kkt`` with every candidate free set solved and checked exactly.
 
     The loop the vectorized screen replaced.  Returns the result, the users
@@ -136,7 +136,7 @@ def _reference_solve_kkt(cfg, budget, tol=1e-10):
         raise mj.SolverError("no candidate free set passed the sign checks", math.inf)
     _, zt, zd, nu = best
     result = opt._build_result(cfg, budget, sys, zt, zd, opt.METHOD_KKT, tried, nu=nu)
-    if result.kkt_residual > tol:
+    if result.kkt_residual > opt.CERT_TOL:
         raise mj.SolverError("no candidate free set certifies the optimum", result.kkt_residual)
     return result, order, accepted
 
@@ -371,31 +371,22 @@ def test_all_silent_users_is_flat_and_uniform():
     assert res.alloc.zeta_d == pytest.approx(cfg.data_len / cfg.block_len)
 
 
-def test_corollary_ordering_more_data_power():
-    cfg = two_users((10.0, 10.0), (5.0, 50.0), (1, 1))
+@pytest.mark.parametrize(
+    "pt, pd, tt, corollary",
+    [
+        ((10.0, 10.0), (5.0, 50.0), (1, 1), 1),
+        ((2.0, 20.0), (10.0, 10.0), (1, 1), 2),
+        ((10.0, 10.0), (10.0, 10.0), (1, 3), 3),
+    ],
+    ids=["more_data_power", "more_training_power", "longer_training"],
+)
+def test_corollary_ordering(pt, pd, tt, corollary):
+    cfg = two_users(pt, pd, tt)
     res = mj.solve_kkt(cfg, mj.JammerBudget(10.0))
     assert res.alloc.zeta_t[1] >= res.alloc.zeta_t[0]
     verdicts = mj.check_corollary_orderings(res, cfg)
     assert all(v.passed for v in verdicts)
-    assert {v.corollary for v in verdicts} == {1}
-
-
-def test_corollary_ordering_more_training_power():
-    cfg = two_users((2.0, 20.0), (10.0, 10.0), (1, 1))
-    res = mj.solve_kkt(cfg, mj.JammerBudget(10.0))
-    assert res.alloc.zeta_t[1] >= res.alloc.zeta_t[0]
-    verdicts = mj.check_corollary_orderings(res, cfg)
-    assert all(v.passed for v in verdicts)
-    assert {v.corollary for v in verdicts} == {2}
-
-
-def test_corollary_ordering_longer_training():
-    cfg = two_users((10.0, 10.0), (10.0, 10.0), (1, 3))
-    res = mj.solve_kkt(cfg, mj.JammerBudget(10.0))
-    assert res.alloc.zeta_t[1] >= res.alloc.zeta_t[0]
-    verdicts = mj.check_corollary_orderings(res, cfg)
-    assert all(v.passed for v in verdicts)
-    assert {v.corollary for v in verdicts} == {3}
+    assert {v.corollary for v in verdicts} == {corollary}
 
 
 def test_ordering_reversal_in_low_energy_regime():
