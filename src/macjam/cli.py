@@ -9,24 +9,24 @@ import argparse
 import csv
 import math
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 from typing import get_type_hints
 
 import yaml
 
-from .model import JammerAllocation, JammerBudget, SystemConfig
-from .optimizer import SolveResult, SolverError, solve, solve_kkt, solve_oracle
+from .model import JammerAllocation, JammerBudget, SystemConfig, uniform_allocation
+from .optimizer import SolveResult, SolverError, _energy, solve, solve_kkt, solve_oracle
 from .rates import MonteCarloSettings, RateReport, _check_count, draw_samples, rate_report
 from .scenario import (
     ScenarioError,
     ScenarioSpec,
     _as_float,
+    _check_keys,
     db_to_linear,
     load_scenario,
     sweep_db_values,
     to_system_config,
-    uniform_allocation,
 )
 
 __all__ = ["main", "SweepRow", "run_sweep", "write_csv", "write_plot_script", "csv_columns"]
@@ -80,9 +80,12 @@ SWEEP_BANK_MAX_BYTES = 64 * 2**20
 
 def run_sweep(spec: ScenarioSpec, workers: int = 1) -> list[SweepRow]:
     _check_count("workers", workers)
-    # Every grid point is converted before the first solve, so one out of range fails at once.
+    # Every grid point is converted and its energy checked before the first solve, so one
+    # out of range fails at once.
     points = [(pw_db, JammerBudget(db_to_linear(pw_db))) for pw_db in sweep_db_values(spec)]
     cfg = to_system_config(spec)
+    for _, budget in points:
+        _energy(cfg, budget)
     unif_alloc = uniform_allocation(cfg)
     # Every report of a sweep shares one seed: draw its samples once if they fit.
     bank = None
@@ -207,21 +210,34 @@ def _load_point(args) -> tuple[ScenarioSpec, SystemConfig, float, JammerBudget]:
     return spec, cfg, pw_db, JammerBudget(db_to_linear(pw_db))
 
 
+@dataclass(frozen=True)
+class _ResultFile:
+    """The YAML file of ``optimize --out``, its keys in order.  ``rates --alloc file:``
+    reads it back: ``zeta_t`` and ``zeta_d`` are required, the rest are optional."""
+
+    pw_db: float
+    zeta_t: list[float]
+    zeta_d: float
+    rho_star: float
+    method: str
+    kkt_residual: float
+
+
 def _cmd_optimize(args) -> int:
     _, cfg, pw_db, budget = _load_point(args)
     print(f"P_w = {pw_db:g} dB")
     result = solve(cfg, budget)
     _print_result(result)
     if args.out:
-        doc = {
-            "pw_db": pw_db,
-            "zeta_t": list(result.alloc.zeta_t),
-            "zeta_d": result.alloc.zeta_d,
-            "rho_star": result.rho_star,
-            "method": result.method,
-            "kkt_residual": result.kkt_residual,
-        }
-        Path(args.out).write_text(yaml.safe_dump(doc, sort_keys=False))
+        doc = _ResultFile(
+            pw_db=pw_db,
+            zeta_t=list(result.alloc.zeta_t),
+            zeta_d=result.alloc.zeta_d,
+            rho_star=result.rho_star,
+            method=result.method,
+            kkt_residual=result.kkt_residual,
+        )
+        Path(args.out).write_text(yaml.safe_dump(asdict(doc), sort_keys=False))
     return EXIT_OK
 
 
@@ -230,8 +246,7 @@ def _load_alloc_file(path: str, cfg: SystemConfig) -> JammerAllocation:
         raw = yaml.safe_load(Path(path).read_text())
     except yaml.YAMLError as exc:
         raise ScenarioError(f"{path}: parse error: {exc}") from exc
-    if not isinstance(raw, dict) or set(raw) != {"zeta_t", "zeta_d"}:
-        raise ScenarioError(f"{path}: allocation file needs exactly the keys zeta_t and zeta_d")
+    _check_keys(_ResultFile, raw, f"allocation file {path}", required=("zeta_t", "zeta_d"))
     if not isinstance(raw["zeta_t"], list):
         raise ScenarioError(f"{path}: zeta_t must be a list of numbers, got {raw['zeta_t']!r}")
     alloc = JammerAllocation(

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
@@ -59,6 +59,10 @@ __all__ = [
 # allocation solve returns carries a KKT residual (its certificate) <= CERT_TOL.
 ACTIVE_TOL = 1e-9
 CERT_TOL = 1e-10
+
+# The largest jamming energy P_w T the solvers accept; the gradient squares
+# terms of its size, which overflow a float from about 1e154.
+MAX_ENERGY = 1e120
 
 # Relative slack of the sign checks in the screen (_screen_active_sets).  The
 # screen rounds differently from the exact solve, so a candidate the exact
@@ -140,6 +144,14 @@ class _Sys(NamedTuple):
     x: np.ndarray  # tt * (1 + pt tt): training denominator with no jamming
 
 
+def _energy(cfg: SystemConfig, budget: JammerBudget) -> float:
+    """The jamming energy ``P_w T``; above ``MAX_ENERGY`` it is a ``ValueError``."""
+    energy = budget.avg_power * cfg.block_len
+    if energy > MAX_ENERGY:
+        raise ValueError(f"jamming energy P_w T = {energy!r} exceeds the limit {MAX_ENERGY!r}")
+    return energy
+
+
 def _sys(cfg: SystemConfig, budget: JammerBudget) -> _Sys:
     pt, pd, tt = cfg.train_power_vec(), cfg.data_power_vec(), cfg.train_len_vec()
     return _Sys(
@@ -148,11 +160,16 @@ def _sys(cfg: SystemConfig, budget: JammerBudget) -> _Sys:
         tt=tt,
         T=float(cfg.block_len),
         Td=float(cfg.data_len),
-        energy=budget.avg_power * cfg.block_len,
+        energy=_energy(cfg, budget),
         S=float(pd.sum()),
         w=tt * np.sqrt(pd * pt),
         x=tt * (1.0 + pt * tt),
     )
+
+
+def _flat(sys: _Sys) -> bool:
+    """A zero budget, or no user with data power: every allocation is then optimal."""
+    return sys.energy == 0.0 or sys.S == 0.0
 
 
 def _grad(sys: _Sys, zt: np.ndarray, zd: float) -> tuple[np.ndarray, float]:
@@ -170,6 +187,12 @@ def _grad(sys: _Sys, zt: np.ndarray, zd: float) -> tuple[np.ndarray, float]:
     return g_t, float(g_d)
 
 
+def _grad_z(sys: _Sys, z: np.ndarray) -> np.ndarray:
+    """The gradient at the point ``z`` (data ratio last), as one vector."""
+    g_t, g_d = _grad(sys, z[:-1], float(z[-1]))
+    return np.append(g_t, g_d)
+
+
 def rho_gradient(zeta_t, zeta_d, cfg: SystemConfig, budget: JammerBudget):
     """Analytic gradient of the objective in the raw ratio coordinates."""
     sys = _sys(cfg, budget)
@@ -184,13 +207,9 @@ def evaluate_kkt(zeta_t, zeta_d, nu: float, cfg: SystemConfig, budget: JammerBud
     violation among budget feasibility, ratio nonnegativity, multiplier
     nonnegativity and complementary slackness.
     """
-    return _kkt_residual(_sys(cfg, budget), np.asarray(zeta_t, dtype=float), float(zeta_d), nu)
-
-
-def _kkt_residual(sys: _Sys, zt: np.ndarray, zd: float, nu: float):
-    g_t, g_d = _grad(sys, zt, zd)
-    lam = np.concatenate((g_t, (g_d,))) + nu
-    return _residual(np.concatenate((zt, (zd,))), lam), lam
+    z = np.append(np.asarray(zeta_t, dtype=float), float(zeta_d))
+    lam = _grad_z(_sys(cfg, budget), z) + nu
+    return _residual(z, lam), lam
 
 
 def _residual(z: np.ndarray, lam: np.ndarray) -> float:
@@ -203,20 +222,22 @@ def _residual(z: np.ndarray, lam: np.ndarray) -> float:
     )
 
 
-def _refine_active_set(sys: _Sys, free_t: np.ndarray, free_d: bool):
+def _refine_active_set(sys: _Sys, free: np.ndarray):
     """Exact solve of the stationarity + budget system on a fixed free set.
 
-    On the free set the stationarity equations collapse to one scalar: every
-    free training denominator is proportional to ``tt_k * sqrt(pd_k pt_k)``.
-    With the data ratio free the proportionality constant solves a quadratic,
-    otherwise it is linear in the budget.  Returns ``(zt, zd)`` or None when
-    the free set admits no solution.
+    On the free set (mask ``free``, data last) the stationarity equations
+    collapse to one scalar: every free training denominator is proportional
+    to ``tt_k * sqrt(pd_k pt_k)``.  With the data ratio free the constant
+    solves a quadratic, otherwise it is linear in the budget.  Returns the
+    point ``z`` or None when the free set admits no solution.
     """
     w, x_thr = sys.w, sys.x
+    free_t = free[:-1]
     w_free = float(w[free_t].sum())
     x_free = float(x_thr[free_t].sum())
-    zt = np.zeros_like(sys.tt)
-    if not free_d:
+    z = np.zeros(free.size)
+    zt = z[:-1]
+    if not free[-1]:
         if w_free <= 0.0:
             return None
         # Expanded form of (cp * w_k - x_k) / energy with cp = (energy + XA)/WA;
@@ -224,7 +245,6 @@ def _refine_active_set(sys: _Sys, free_t: np.ndarray, free_d: bool):
         zt[free_t] = w[free_t] / w_free + (w[free_t] * x_free - x_thr[free_t] * w_free) / (
             w_free * sys.energy
         )
-        zd = 0.0
     else:
         # a2 = sum of the pinned users' alpha at zero jamming, summed directly:
         # S - sum_free pd - sum_pinned beta cancels when a pinned pd is tiny.
@@ -238,18 +258,16 @@ def _refine_active_set(sys: _Sys, free_t: np.ndarray, free_d: bool):
             return None
         cp = rhs / den
         d_d = sys.energy + sys.Td + x_free - cp * w_free
-        zd = (d_d - sys.Td) / sys.energy
+        z[-1] = (d_d - sys.Td) / sys.energy
         zt[free_t] = (cp * w[free_t] - x_thr[free_t]) / sys.energy
-    return zt, float(zd)
+    return z
 
 
-def _validate_candidate(sys: _Sys, zt: np.ndarray, zd: float, free_t: np.ndarray, free_d: bool):
+def _validate_candidate(sys: _Sys, z: np.ndarray, free: np.ndarray):
     """Exact sign checks for a restricted solve; returns ``(nu, lambdas)`` or None."""
-    if (zt[free_t] <= 0.0).any() or (free_d and zd <= 0.0):
+    if (z[free] <= 0.0).any():
         return None
-    g_t, g_d = _grad(sys, zt, zd)
-    g_all = np.concatenate((g_t, (g_d,)))
-    free = np.concatenate((free_t, (free_d,)))
+    g_all = _grad_z(sys, z)
     nu = float(-(g_all[free]).mean())
     lam = g_all + nu
     if float(lam[~free].min(initial=math.inf)) < -1e-9 * (1.0 + abs(nu)):
@@ -332,38 +350,30 @@ def _enumerate_active_sets(sys: _Sys):
     solvable, passed = _screen_active_sets(sys, order)
     best = None
     for row in np.flatnonzero(passed):
-        m, free_d = (row + 1) // 2, bool(row % 2 == 0)
-        free_t = np.zeros(w.size, dtype=bool)
-        free_t[order[:m]] = True
-        out = _refine_active_set(sys, free_t, free_d)
-        if out is None:
+        free = np.zeros(w.size + 1, dtype=bool)
+        free[order[: (row + 1) // 2]] = True
+        free[-1] = row % 2 == 0
+        z = _refine_active_set(sys, free)
+        if z is None:
             continue
-        zt, zd = out
-        checked = _validate_candidate(sys, zt, zd, free_t, free_d)
+        checked = _validate_candidate(sys, z, free)
         if checked is None:
             continue
         nu, lam = checked
-        residual = _residual(np.concatenate((zt, (zd,))), lam)
+        residual = _residual(z, lam)
         if best is None or residual < best[0]:
-            best = (residual, zt, zd, nu)
+            best = (residual, z, nu)
     return (None if best is None else best[1:]), int(solvable.sum())
 
 
-def _require_positive_budget(budget: JammerBudget, solver: str) -> None:
-    if budget.avg_power <= 0.0:
-        raise ValueError(f"{solver} requires a positive jamming budget")
-
-
 def _flat_result(cfg: SystemConfig, budget: JammerBudget, method: str) -> SolveResult:
-    # Objective is constant (no data power anywhere, or a zero budget): every
-    # point is optimal.
+    """The duration-proportional split, certified with ``nu`` and residual 0, on a flat objective."""
     alloc = uniform_allocation(cfg)
-    k = cfg.n_users
     return SolveResult(
         alloc=alloc,
         rho_star=objective_rho(alloc, cfg, budget),
         nu_star=0.0,
-        lambdas=tuple(0.0 for _ in range(k + 1)),
+        lambdas=(0.0,) * (cfg.n_users + 1),
         active_set=(),
         method=method,
         kkt_residual=0.0,
@@ -375,19 +385,17 @@ def _build_result(
     cfg: SystemConfig,
     budget: JammerBudget,
     sys: _Sys,
-    zt: np.ndarray,
-    zd: float,
+    z: np.ndarray,
     method: str,
     iterations: int,
     nu: float | None = None,
 ) -> SolveResult:
     try:
-        alloc = JammerAllocation(tuple(zt.tolist()), float(zd))
+        alloc = JammerAllocation(tuple(z[:-1].tolist()), float(z[-1]))
     except ValueError as exc:
         raise SolverError(f"solver produced an infeasible allocation: {exc}", math.inf)
     z = alloc.as_vector()
-    g_t, g_d = _grad(sys, z[:-1], float(z[-1]))
-    g_all = np.concatenate((g_t, (g_d,)))
+    g_all = _grad_z(sys, z)
     if nu is None:
         free = z > ACTIVE_TOL
         nu = max(0.0, float(-(g_all[free]).mean())) if free.any() else 0.0
@@ -413,19 +421,18 @@ def solve_kkt(cfg: SystemConfig, budget: JammerBudget) -> SolveResult:
     candidates.  Those it passes are solved again exactly, one at a time, and
     every one that passes the exact sign checks is a KKT point; the one with
     the smallest residual is returned, with ``iterations`` counting the
-    candidates that had a solution to sign-check.  Raises
-    :class:`SolverError` when no candidate passes or the returned allocation
-    does not certify to ``CERT_TOL``.
+    candidates that had a solution to sign-check; a flat objective returns
+    :func:`_flat_result`.  Raises :class:`SolverError` when no candidate
+    passes or the returned allocation does not certify to ``CERT_TOL``.
     """
-    _require_positive_budget(budget, "solve_kkt")
     sys = _sys(cfg, budget)
-    if sys.S == 0.0:
+    if _flat(sys):
         return _flat_result(cfg, budget, METHOD_KKT)
     best, tried = _enumerate_active_sets(sys)
     if best is None:
         raise SolverError("no candidate free set passed the sign checks", math.inf)
-    zt, zd, nu = best
-    result = _build_result(cfg, budget, sys, zt, zd, METHOD_KKT, tried, nu=nu)
+    z, nu = best
+    result = _build_result(cfg, budget, sys, z, METHOD_KKT, tried, nu=nu)
     if result.kkt_residual > CERT_TOL:
         raise SolverError("no candidate free set certifies the optimum", result.kkt_residual)
     return result
@@ -440,14 +447,13 @@ def solve_closed_form(cfg: SystemConfig, budget: JammerBudget) -> SolveResult | 
                    / (2 PwT eta),      w_k = tt_k sqrt(pd_k pt_k)
         zeta_d   = 1/2 + (Tt + delta - Td (1 + S)) / (2 PwT)
 
-    Returns None when any component is nonpositive ("not interior"); callers
-    should then fall back to :func:`solve_kkt`.
+    Returns None on a flat objective and when any component is nonpositive
+    ("not interior"); callers should then fall back to :func:`solve_kkt`.
     """
-    _require_positive_budget(budget, "solve_closed_form")
     sys = _sys(cfg, budget)
     w = sys.w
     eta = float(w.sum())
-    if eta <= 0.0:
+    if _flat(sys) or eta <= 0.0:
         return None
     delta = float((sys.pt * sys.tt**2).sum())
     t_t = float(sys.tt.sum())
@@ -457,7 +463,7 @@ def solve_closed_form(cfg: SystemConfig, budget: JammerBudget) -> SolveResult | 
     zd = 0.5 + (t_t + delta - sys.Td * (1.0 + sys.S)) / (2.0 * sys.energy)
     if not (np.all(zt > 0.0) and zd > 0.0):
         return None
-    return _build_result(cfg, budget, sys, zt, float(zd), METHOD_CLOSED_FORM, 0)
+    return _build_result(cfg, budget, sys, np.append(zt, zd), METHOD_CLOSED_FORM, 0)
 
 
 def solve_asymptotic(cfg: SystemConfig) -> JammerAllocation:
@@ -473,13 +479,7 @@ def solve_asymptotic(cfg: SystemConfig) -> JammerAllocation:
 
 
 def solve(cfg: SystemConfig, budget: JammerBudget) -> SolveResult:
-    """Closed form when it is interior and certifies to ``CERT_TOL``, :func:`solve_kkt` otherwise.
-
-    A zero budget makes the objective independent of the allocation; it
-    returns the duration-proportional split with ``nu_star`` and residual 0.
-    """
-    if budget.avg_power == 0.0:
-        return _flat_result(cfg, budget, METHOD_KKT)
+    """Closed form when it is interior and certifies to ``CERT_TOL``, :func:`solve_kkt` otherwise."""
     result = solve_closed_form(cfg, budget)
     if result is not None and result.kkt_residual <= CERT_TOL:
         return result
@@ -517,9 +517,7 @@ def _pair_descent(z, cfg, budget):
         return float(rho_value(v[:-1], v[-1], cfg, budget))
 
     best = value(z)
-    sweeps = 0
-    for _ in range(ORACLE_MAX_SWEEPS):
-        sweeps += 1
+    for sweeps in range(1, ORACLE_MAX_SWEEPS + 1):
         start = best
         for i in range(dim):
             for j in range(i + 1, dim):
@@ -559,6 +557,7 @@ def solve_oracle(cfg: SystemConfig, budget: JammerBudget, grid_resolution: float
     simplex vertices and center); the polish does the precision work either
     way.  Only intended for tests and diagnostics.
     """
+    sys = _sys(cfg, budget)
     dim = cfg.n_users + 1
     steps = max(1, round(1.0 / grid_resolution))
     if math.comb(steps + dim - 1, dim - 1) <= ORACLE_MAX_GRID_POINTS:
@@ -570,7 +569,7 @@ def solve_oracle(cfg: SystemConfig, budget: JammerBudget, grid_resolution: float
     vals = rho_value(pts[:, :-1], pts[:, -1], cfg, budget)
     z0 = pts[int(np.argmin(vals))]
     z, _, sweeps = _pair_descent(z0, cfg, budget)
-    return _build_result(cfg, budget, _sys(cfg, budget), z[:-1], float(z[-1]), METHOD_ORACLE, sweeps)
+    return _build_result(cfg, budget, sys, z, METHOD_ORACLE, sweeps)
 
 
 def _project_simplex(v: np.ndarray) -> np.ndarray:
@@ -582,17 +581,14 @@ def _project_simplex(v: np.ndarray) -> np.ndarray:
 
 
 def _descend(z0, cfg, budget):
+    sys = _sys(cfg, budget)
     z = _project_simplex(np.asarray(z0, dtype=float))
 
     def value(v):
         return float(rho_value(v[:-1], v[-1], cfg, budget))
 
-    def gradient(v):
-        g_t, g_d = rho_gradient(v[:-1], v[-1], cfg, budget)
-        return np.append(g_t, g_d)
-
     f = value(z)
-    g = gradient(z)
+    g = _grad_z(sys, z)
     step = 1.0
     iters = 0
     for _ in range(DESCENT_MAX_ITER):
@@ -613,7 +609,7 @@ def _descend(z0, cfg, budget):
         iters += 1
         if not moved:
             break  # step underflow: at floating-point resolution of the optimum
-        g_new = gradient(cand)
+        g_new = _grad_z(sys, cand)
         dz = cand - z
         dg = g_new - g
         curv = float(dz @ dg)
@@ -623,35 +619,26 @@ def _descend(z0, cfg, budget):
     return z, f, iters
 
 
-def solve_projected_descent(
-    cfg: SystemConfig, budget: JammerBudget, *, starts: Sequence[np.ndarray] | None = None
-) -> SolveResult:
+def solve_projected_descent(cfg: SystemConfig, budget: JammerBudget) -> SolveResult:
     """Multi-start projected gradient descent with Armijo backtracking.
 
     Defense-in-depth companion to :func:`solve_kkt`: it relies only on the
     objective and its gradient, never on the stationarity rearrangement.  The
-    five default starts (duration-proportional, training only, data only, the
+    five starts (duration-proportional, training only, data only, the
     infinite-budget limit and one seeded random point) keep a single poor
-    start from deciding the result.
+    start from deciding the result; the first of equally good ends is kept.
     """
-    _require_positive_budget(budget, "solve_projected_descent")
     k = cfg.n_users
-    if starts is None:
-        rng = np.random.default_rng(DESCENT_SEED)
-        starts = [
-            uniform_allocation(cfg).as_vector(),
-            np.append(np.full(k, 1.0 / k), 0.0),
-            np.append(np.zeros(k), 1.0),
-            solve_asymptotic(cfg).as_vector(),
-            rng.dirichlet(np.ones(k + 1)),
-        ]
-    best = None
-    for z0 in starts:
-        z, f, iters = _descend(np.asarray(z0, dtype=float), cfg, budget)
-        if best is None or f < best[1]:
-            best = (z, f, iters)
-    z, _, iters = best
-    return _build_result(cfg, budget, _sys(cfg, budget), z[:-1], float(z[-1]), METHOD_DESCENT, iters)
+    rng = np.random.default_rng(DESCENT_SEED)
+    starts = [
+        uniform_allocation(cfg).as_vector(),
+        np.append(np.full(k, 1.0 / k), 0.0),
+        np.append(np.zeros(k), 1.0),
+        solve_asymptotic(cfg).as_vector(),
+        rng.dirichlet(np.ones(k + 1)),
+    ]
+    z, _, iters = min((_descend(z0, cfg, budget) for z0 in starts), key=lambda end: end[1])
+    return _build_result(cfg, budget, _sys(cfg, budget), z, METHOD_DESCENT, iters)
 
 
 def check_corollary_orderings(result: SolveResult, cfg: SystemConfig) -> list[OrderingVerdict]:

@@ -18,7 +18,7 @@ from pathlib import Path
 
 import yaml
 
-from .model import SystemConfig, UserParams, _golden_section, uniform_allocation
+from .model import SystemConfig, UserParams, _golden_section
 from .rates import EULER_GAMMA, MonteCarloSettings
 
 __all__ = [
@@ -36,7 +36,6 @@ __all__ = [
     "to_system_config",
     "split_for_fraction",
     "budget_split",
-    "uniform_allocation",
     "sweep_db_values",
     "bundled_scenario_path",
 ]
@@ -44,6 +43,10 @@ __all__ = [
 
 class ScenarioError(ValueError):
     """Malformed or invalid scenario content; the message names the field."""
+
+
+# The most grid points a jammer sweep may have.
+MAX_SWEEP_POINTS = 10**6
 
 
 def db_to_linear(db: float) -> float:
@@ -98,6 +101,8 @@ class SweepRange:
             raise ScenarioError(f"sweep step_db must be > 0, got {self.step_db}")
         if not math.isfinite((self.max_db - self.min_db) / self.step_db):
             raise ScenarioError(f"sweep (max_db - min_db) / step_db overflows: {self}")
+        if (count := _point_count(self)) > MAX_SWEEP_POINTS:
+            raise ScenarioError(f"sweep has {count} points, more than the limit {MAX_SWEEP_POINTS}: {self}")
 
 
 @dataclass(frozen=True)
@@ -295,12 +300,15 @@ def to_system_config(spec: ScenarioSpec) -> SystemConfig:
     return SystemConfig(block_len=spec.block_len, users=tuple(users))
 
 
+def _point_count(s: SweepRange) -> int:
+    return int(math.floor((s.max_db - s.min_db) / s.step_db + 1e-9)) + 1
+
+
 def sweep_db_values(spec: ScenarioSpec) -> list[float]:
     if spec.jammer.sweep is None:
         raise ScenarioError("scenario has no jammer sweep range")
     s = spec.jammer.sweep
-    count = int(math.floor((s.max_db - s.min_db) / s.step_db + 1e-9)) + 1
-    return [s.min_db + i * s.step_db for i in range(count)]
+    return [s.min_db + i * s.step_db for i in range(_point_count(s))]
 
 
 def bundled_scenario_path(name: str) -> Path:

@@ -169,6 +169,25 @@ def test_worker_count_below_one_is_a_configuration_error(tmp_path, capsys):
         assert not (out / "tiny.csv").exists()
 
 
+@pytest.mark.parametrize(
+    "argv", [["optimize"], ["rates", "--alloc", "optimal"], ["oracle-check", "--grid", "0.05"]]
+)
+def test_point_commands_accept_a_zero_budget(capsys, argv):
+    assert main([argv[0], fig2_path(), "--pw-db=-inf", *argv[1:]]) == 0
+    assert capsys.readouterr().err == ""
+
+
+def test_optimize_out_round_trips_through_rates_alloc_file(tmp_path, capsys):
+    result = tmp_path / "result.yaml"
+    assert main(["optimize", fig2_path(), "--pw-db", "20", "--out", str(result)]) == 0
+    capsys.readouterr()
+    rate_lines = lambda out: [line for line in out.splitlines() if line.startswith("R_")]
+    assert main(["rates", fig2_path(), "--pw-db", "20", "--alloc", f"file:{result}"]) == 0
+    from_file = rate_lines(capsys.readouterr().out)
+    assert main(["rates", fig2_path(), "--pw-db", "20", "--alloc", "optimal"]) == 0
+    assert from_file == rate_lines(capsys.readouterr().out) and len(from_file) == 3
+
+
 def test_rates_zero_budget_identical_for_any_allocation(tmp_path, capsys):
     scenario = tmp_path / "nojam.scenario"
     scenario.write_text(TWO_USER_POINT.replace("power_db: 5.0", "power_db: -.inf"))
@@ -211,6 +230,7 @@ def test_rates_rejects_non_simplex_allocation_file(tmp_path, capsys):
         "zeta_t: [0.5\n",  # YAML parse error
         {"zeta_t": [0.4, 0.4], "zeta_d": 0.2, "extra": 1},
         {"zeta_t": [0.5], "zeta_d": 0.5},  # one ratio for two users
+        {"zeta_t": [0.4, 0.4], "rho_star": 0.1},  # zeta_d missing
     ],
 )
 def test_rates_rejects_malformed_allocation_file(tmp_path, capsys, alloc):
@@ -307,9 +327,17 @@ BUDGET_USER = TWO_USER_POINT.replace("train_power_db: 10.0\n    data_power_db: 1
          "users[0]: avg_power must be > 0, got 0.0"),
         (TINY.replace("min_db: 0.0, max_db: 10.0, step_db: 5.0", "min_db: -1.0e+308, max_db: 1.0e+308, step_db: 1.0"),
          ["sweep"], "sweep (max_db - min_db) / step_db overflows"),
+        (TINY.replace("min_db: 0.0, max_db: 10.0, step_db: 5.0", "min_db: 0.0, max_db: 1.0e+12, step_db: 1.0e-3"),
+         ["sweep"], "sweep has 1000000000000001 points, more than the limit 1000000"),
+        # P_w T above optimizer.MAX_ENERGY: 2000 dB at T = 20, and from 1195 dB at T = 10.
+        (TWO_USER_POINT, ["optimize", "--pw-db", "2000"], "P_w T = 1.9999999999999998e+201 exceeds the limit 1e+120"),
+        (TWO_USER_POINT, ["rates", "--alloc", "optimal", "--pw-db", "2000"], "P_w T = 1.9999999999999998e+201"),
+        (TWO_USER_POINT, ["oracle-check", "--pw-db", "2000"], "P_w T = 1.9999999999999998e+201"),
+        (TINY.replace("max_db: 10.0", "max_db: 1300.0"), ["sweep"], "P_w T = 3.1622776601683794e+120 exceeds"),
     ],
     ids=["user_db", "jammer_db", "pw_db", "rates_pw_db", "oracle_pw_db", "sweep_db",
-         "budget_train_len_0", "budget_tiny_avg_power", "sweep_point_count"],
+         "budget_train_len_0", "budget_tiny_avg_power", "sweep_point_count", "sweep_point_cap",
+         "energy", "rates_energy", "oracle_energy", "sweep_energy"],
 )
 def test_out_of_range_scenario_values_are_configuration_errors(tmp_path, capsys, text, argv, message):
     path = tmp_path / "case.scenario"

@@ -1,4 +1,5 @@
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -55,12 +56,6 @@ def test_gradient_matches_finite_differences():
         assert fd_d == pytest.approx(g_d, rel=1e-5)
 
 
-def test_solve_kkt_rejects_zero_budget():
-    cfg = two_users((10.0, 10.0), (10.0, 10.0), (1, 1))
-    with pytest.raises(ValueError):
-        mj.solve_kkt(cfg, mj.JammerBudget(0.0))
-
-
 def test_solve_kkt_symmetric_users_get_equal_shares():
     cfg = two_users((10.0, 10.0), (10.0, 10.0), (1, 1))
     for pw in (0.5, 5.0, 500.0):
@@ -114,28 +109,28 @@ def _reference_solve_kkt(cfg, budget):
     order = np.argsort(ratio, kind="stable")
     best, tried, accepted = None, 0, []
     for m in range(w.size + 1):
-        free_t = np.zeros(w.size, dtype=bool)
-        free_t[order[:m]] = True
         for free_d in (False, True):
             if m == 0 and not free_d:
                 continue
-            out = opt._refine_active_set(sys, free_t, free_d)
-            if out is None:
+            free = np.zeros(w.size + 1, dtype=bool)
+            free[order[:m]] = True
+            free[-1] = free_d
+            z = opt._refine_active_set(sys, free)
+            if z is None:
                 continue
             tried += 1
-            zt, zd = out
-            checked = opt._validate_candidate(sys, zt, zd, free_t, free_d)
+            checked = opt._validate_candidate(sys, z, free)
             if checked is None:
                 continue
             accepted.append(2 * m - (not free_d))
             nu = checked[0]
-            residual, _ = opt._kkt_residual(sys, zt, zd, nu)
+            residual, _ = mj.evaluate_kkt(z[:-1], z[-1], nu, cfg, budget)
             if best is None or residual < best[0]:
-                best = (residual, zt, zd, nu)
+                best = (residual, z, nu)
     if best is None:
         raise mj.SolverError("no candidate free set passed the sign checks", math.inf)
-    _, zt, zd, nu = best
-    result = opt._build_result(cfg, budget, sys, zt, zd, opt.METHOD_KKT, tried, nu=nu)
+    _, z, nu = best
+    result = opt._build_result(cfg, budget, sys, z, opt.METHOD_KKT, tried, nu=nu)
     if result.kkt_residual > opt.CERT_TOL:
         raise mj.SolverError("no candidate free set certifies the optimum", result.kkt_residual)
     return result, order, accepted
@@ -181,8 +176,7 @@ def test_solve_zero_budget_is_flat_uniform():
     assert res.alloc == mj.uniform_allocation(cfg)
     assert res.nu_star == 0.0
     assert res.kkt_residual == 0.0
-    with pytest.raises(ValueError):
-        mj.solve_closed_form(cfg, mj.JammerBudget(0.0))
+    assert mj.solve_closed_form(cfg, mj.JammerBudget(0.0)) is None
 
 
 def test_interior_ratio_identity_two_users():
@@ -334,14 +328,47 @@ def test_descent_from_optimum_stops_immediately():
     cfg = two_users((10.0, 20.0), (30.0, 10.0), (1, 2))
     budget = mj.JammerBudget(25.0)
     kkt = mj.solve_kkt(cfg, budget)
-    desc = mj.solve_projected_descent(cfg, budget, starts=[kkt.alloc.as_vector()])
-    assert desc.iterations <= 2
+    _, _, iterations = opt._descend(kkt.alloc.as_vector(), cfg, budget)
+    assert iterations <= 2
 
 
-def test_descent_rejects_zero_budget():
-    cfg = two_users((10.0, 10.0), (10.0, 10.0), (1, 1))
-    with pytest.raises(ValueError):
-        mj.solve_projected_descent(cfg, mj.JammerBudget(0.0))
+FLAT_CASES = {
+    "zero_budget": (two_users((10.0, 20.0), (30.0, 10.0), (1, 2)), 0.0),
+    "all_silent": (two_users((10.0, 20.0), (0.0, 0.0), (1, 2)), 5.0),
+}
+SOLVERS = {
+    "solve": mj.solve,
+    "solve_kkt": mj.solve_kkt,
+    "solve_oracle": lambda cfg, budget: mj.solve_oracle(cfg, budget, grid_resolution=0.05),
+    "solve_projected_descent": mj.solve_projected_descent,
+}
+
+
+@pytest.mark.parametrize("case", FLAT_CASES)
+@pytest.mark.parametrize("solver", SOLVERS)
+def test_every_solver_certifies_a_flat_objective(solver, case):
+    cfg, pw = FLAT_CASES[case]
+    budget = mj.JammerBudget(pw)
+    res = SOLVERS[solver](cfg, budget)
+    assert res.kkt_residual <= opt.CERT_TOL
+    assert res.rho_star == mj.objective_rho(mj.uniform_allocation(cfg), cfg, budget)
+    if solver in ("solve", "solve_kkt"):
+        # The flat result: the duration-proportional split with nu 0 and residual 0.
+        assert (res.alloc, res.nu_star, res.kkt_residual) == (mj.uniform_allocation(cfg), 0.0, 0.0)
+    assert mj.solve_closed_form(cfg, budget) is None
+
+
+def test_solvers_reject_energy_above_the_limit():
+    cfg = two_users((10.0, 20.0), (30.0, 10.0), (1, 2))
+    below = mj.JammerBudget(0.5 * opt.MAX_ENERGY / cfg.block_len)
+    assert mj.solve(cfg, below).kkt_residual <= opt.CERT_TOL
+    above = mj.JammerBudget(2.0 * opt.MAX_ENERGY / cfg.block_len)
+    message = re.escape(f"P_w T = {above.avg_power * cfg.block_len!r} exceeds the limit 1e+120")
+    for solver in [*SOLVERS.values(), mj.solve_closed_form]:
+        with pytest.raises(ValueError, match=message):
+            solver(cfg, above)
+    with pytest.raises(ValueError, match=message):
+        mj.rho_gradient((0.5, 0.5), 0.0, cfg, above)
 
 
 def test_interior_gradient_components_equalized():

@@ -96,12 +96,6 @@ def test_bundled_fig2_scenario():
     assert values[0] == -10.0 and values[-1] == 60.0
     cfg = mj.to_system_config(spec)
     assert cfg.total_train_len == 4
-
-
-def test_bundled_fig1_matches_fig2_system():
-    c1 = mj.to_system_config(mj.load_scenario(mj.bundled_scenario_path("fig1.scenario")))
-    c2 = mj.to_system_config(mj.load_scenario(mj.bundled_scenario_path("fig2.scenario")))
-    assert c1 == c2
     with pytest.raises(FileNotFoundError):
         mj.bundled_scenario_path("fig9.scenario")
 
@@ -238,6 +232,15 @@ def test_sweep_range_rejects_non_finite_fields(field, value):
     bounds = {"min_db": 0.0, "max_db": 1.0, "step_db": 1.0, field: value}
     with pytest.raises(ScenarioError, match=f"sweep {field} must be finite"):
         SweepRange(**bounds)
+
+
+def test_sweep_range_caps_the_point_count():
+    cap = mj.scenario.MAX_SWEEP_POINTS
+    SweepRange(min_db=0.0, max_db=cap - 1.0, step_db=1.0)
+    with pytest.raises(ScenarioError, match=f"sweep has {cap + 1} points, more than the limit {cap}"):
+        SweepRange(min_db=0.0, max_db=float(cap), step_db=1.0)
+    with pytest.raises(ScenarioError, match="sweep has 1000000000000001 points"):
+        SweepRange(min_db=0.0, max_db=1e12, step_db=1e-3)
 
 
 @pytest.mark.parametrize(

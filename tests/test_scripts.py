@@ -32,11 +32,11 @@ def test_activation_thresholds_finds_the_analytic_data_threshold():
     assert analytic <= first_on <= analytic + 0.125
 
 
-def test_run_fig_sweeps_writes_both_sweeps(tmp_path, fig_setup, fig_sweep_rows):
+def test_run_fig_sweeps_writes_the_fig2_sweep(tmp_path, fig_setup, fig_sweep_rows):
     out = tmp_path / "results"
     proc = _run_script("run_fig_sweeps.py", str(out))
     assert proc.returncode == 0, proc.stderr
-    names = ["fig1.csv", "fig1.plot", "fig2.csv", "fig2.plot"]
+    names = ["fig2.csv", "fig2.plot"]
     assert sorted(p.name for p in out.iterdir()) == names
     assert all((out / n).stat().st_size > 0 for n in names)
     _, cfg = fig_setup
