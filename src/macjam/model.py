@@ -38,6 +38,10 @@ __all__ = [
 # Allocation vectors must sum to 1 within this tolerance before renormalization.
 ALLOC_SUM_TOL = 1e-6
 
+# The longest block, in symbols; every other length is shorter.  Lengths enter
+# the arithmetic as floats, which hold every integer up to 2**53 exactly.
+MAX_BLOCK_LEN = 2**53
+
 
 def _require_finite(name: str, value: float) -> float:
     value = float(value)
@@ -95,6 +99,8 @@ class SystemConfig:
 
     def __post_init__(self):
         t = _require_int("block_len", self.block_len)
+        if t > MAX_BLOCK_LEN:
+            raise ValueError(f"block_len exceeds the limit MAX_BLOCK_LEN = 2**53 = {MAX_BLOCK_LEN}")
         users = tuple(self.users)
         if len(users) < 1:
             raise ValueError("users must contain at least one user")
@@ -258,6 +264,21 @@ def lmmse_quality(user: UserParams, train_jam_power: float) -> EstimationQuality
     return EstimationQuality(est_var=s / (1.0 + s), err_var=1.0 / (1.0 + s))
 
 
+def _ratio_terms(zeta_t, zeta_d, cfg: SystemConfig, budget: JammerBudget):
+    """:func:`alpha_beta_gamma` over leading axes: ``zeta_t`` is a float array of
+    shape ``(..., K)``, ``zeta_d`` a float or an array of shape ``(...)``."""
+    p_t = cfg.train_power_vec()
+    p_d = cfg.data_power_vec()
+    t_t = cfg.train_len_vec()
+    energy = budget.avg_power * cfg.block_len
+    q = 1.0 + zeta_t * energy / t_t
+    pilot = 1.0 + p_t * t_t / q
+    alphas = (p_d * p_t * t_t / q) / pilot
+    betas = p_d / pilot
+    gamma = 1.0 / (1.0 + zeta_d * energy / cfg.data_len)
+    return alphas, betas, gamma
+
+
 def alpha_beta_gamma(
     alloc: JammerAllocation, cfg: SystemConfig, budget: JammerBudget
 ) -> tuple[np.ndarray, np.ndarray, float]:
@@ -272,15 +293,7 @@ def alpha_beta_gamma(
     ``beta_k`` rises as the training jamming share grows.
     """
     _require_same_users(alloc, cfg)
-    p_t = cfg.train_power_vec()
-    p_d = cfg.data_power_vec()
-    t_t = cfg.train_len_vec()
-    energy = budget.avg_power * cfg.block_len
-    q = 1.0 + alloc.zeta_t_vec() * energy / t_t
-    alphas = (p_d * p_t * t_t / q) / (1.0 + p_t * t_t / q)
-    betas = p_d / (1.0 + p_t * t_t / q)
-    gamma = 1.0 / (1.0 + alloc.zeta_d * energy / cfg.data_len)
-    return alphas, betas, gamma
+    return _ratio_terms(alloc.zeta_t_vec(), alloc.zeta_d, cfg, budget)
 
 
 def objective_rho(
@@ -322,23 +335,14 @@ def rho_from_estimation(
 def rho_value(
     zeta_t, zeta_d, cfg: SystemConfig, budget: JammerBudget
 ) -> np.ndarray:
-    """Vectorized objective over raw ratio arrays (no allocation validation).
+    """:func:`objective_rho` over raw ratio arrays (no allocation validation).
 
     ``zeta_t`` has shape ``(..., K)`` and ``zeta_d`` shape ``(...)``; the two
     broadcast together.  Used by the optimizer for grids and line searches.
     """
-    zt = np.asarray(zeta_t, dtype=float)
-    zd = np.asarray(zeta_d, dtype=float)
-    p_t = cfg.train_power_vec()
-    p_d = cfg.data_power_vec()
-    t_t = cfg.train_len_vec()
-    energy = budget.avg_power * cfg.block_len
-    q = 1.0 + zt * energy / t_t
-    s = p_t * t_t / q
-    num = (p_d * s / (1.0 + s)).sum(axis=-1)
-    den = (p_d / (1.0 + s)).sum(axis=-1)
-    gamma = 1.0 / (1.0 + zd * energy / cfg.data_len)
-    return gamma * num / (1.0 + gamma * den)
+    zt, zd = np.asarray(zeta_t, dtype=float), np.asarray(zeta_d, dtype=float)
+    alphas, betas, gamma = _ratio_terms(zt, zd, cfg, budget)
+    return gamma * alphas.sum(axis=-1) / (1.0 + gamma * betas.sum(axis=-1))
 
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0

@@ -193,6 +193,11 @@ def _grad_z(sys: _Sys, z: np.ndarray) -> np.ndarray:
     return np.append(g_t, g_d)
 
 
+def _rho_z(z: np.ndarray, cfg: SystemConfig, budget: JammerBudget):
+    """The objective at the points ``z`` (data ratio last), over leading axes."""
+    return rho_value(z[..., :-1], z[..., -1], cfg, budget)
+
+
 def rho_gradient(zeta_t, zeta_d, cfg: SystemConfig, budget: JammerBudget):
     """Analytic gradient of the objective in the raw ratio coordinates."""
     sys = _sys(cfg, budget)
@@ -512,11 +517,7 @@ def _pair_descent(z, cfg, budget):
     """
     z = np.array(z, dtype=float)
     dim = z.size
-
-    def value(v):
-        return float(rho_value(v[:-1], v[-1], cfg, budget))
-
-    best = value(z)
+    best = _rho_z(z, cfg, budget)
     for sweeps in range(1, ORACLE_MAX_SWEEPS + 1):
         start = best
         for i in range(dim):
@@ -529,7 +530,7 @@ def _pair_descent(z, cfg, budget):
                 def phi(t):
                     trial[i] = z[i] + t
                     trial[j] = z[j] - t
-                    return value(trial)
+                    return _rho_z(trial, cfg, budget)
 
                 _, _, c, fc, d, fd = _golden_section(phi, lo, hi, 1e-12)
                 t_best, f_best = (c, fc) if fc <= fd else (d, fd)
@@ -555,19 +556,24 @@ def solve_oracle(cfg: SystemConfig, budget: JammerBudget, grid_resolution: float
     (``ORACLE_MAX_GRID_POINTS``) the enumeration is replaced by 50,000
     Dirichlet samples drawn from the fixed seed ``ORACLE_SEED`` (plus the
     simplex vertices and center); the polish does the precision work either
-    way.  Only intended for tests and diagnostics.
+    way.  Only intended for tests and diagnostics.  ``grid_resolution`` must
+    lie in (0, 1] with a finite reciprocal; any other value, NaN included, is
+    a ``ValueError``.
     """
+    if not (0.0 < grid_resolution <= 1.0 and math.isfinite(1.0 / grid_resolution)):
+        raise ValueError(
+            f"grid_resolution must lie in (0, 1] with a finite reciprocal, got {grid_resolution!r}"
+        )
     sys = _sys(cfg, budget)
     dim = cfg.n_users + 1
-    steps = max(1, round(1.0 / grid_resolution))
+    steps = round(1.0 / grid_resolution)
     if math.comb(steps + dim - 1, dim - 1) <= ORACLE_MAX_GRID_POINTS:
         pts = _simplex_grid(dim, steps)
     else:
         rng = np.random.default_rng(ORACLE_SEED)
         samples = rng.dirichlet(np.ones(dim), size=ORACLE_SEARCH_SAMPLES)
         pts = np.concatenate([np.eye(dim), np.full((1, dim), 1.0 / dim), samples])
-    vals = rho_value(pts[:, :-1], pts[:, -1], cfg, budget)
-    z0 = pts[int(np.argmin(vals))]
+    z0 = pts[int(np.argmin(_rho_z(pts, cfg, budget)))]
     z, _, sweeps = _pair_descent(z0, cfg, budget)
     return _build_result(cfg, budget, sys, z, METHOD_ORACLE, sweeps)
 
@@ -583,11 +589,7 @@ def _project_simplex(v: np.ndarray) -> np.ndarray:
 def _descend(z0, cfg, budget):
     sys = _sys(cfg, budget)
     z = _project_simplex(np.asarray(z0, dtype=float))
-
-    def value(v):
-        return float(rho_value(v[:-1], v[-1], cfg, budget))
-
-    f = value(z)
+    f = _rho_z(z, cfg, budget)
     g = _grad_z(sys, z)
     step = 1.0
     iters = 0
@@ -602,7 +604,7 @@ def _descend(z0, cfg, budget):
         while trial > 1e-20:
             cand = _project_simplex(z - trial * g)
             decrease = float(g @ (cand - z))
-            if decrease < 0.0 and value(cand) <= f + 1e-4 * decrease:
+            if decrease < 0.0 and _rho_z(cand, cfg, budget) <= f + 1e-4 * decrease:
                 moved = True
                 break
             trial *= 0.5
@@ -615,7 +617,7 @@ def _descend(z0, cfg, budget):
         curv = float(dz @ dg)
         # Barzilai-Borwein step for the next iteration, Armijo-safeguarded above.
         step = float(dz @ dz) / curv if curv > 0.0 else trial * 2.0
-        z, f, g = cand, value(cand), g_new
+        z, f, g = cand, _rho_z(cand, cfg, budget), g_new
     return z, f, iters
 
 

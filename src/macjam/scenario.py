@@ -18,7 +18,7 @@ from pathlib import Path
 
 import yaml
 
-from .model import SystemConfig, UserParams, _golden_section
+from .model import MAX_BLOCK_LEN, SystemConfig, UserParams, _golden_section
 from .rates import EULER_GAMMA, MonteCarloSettings
 
 __all__ = [
@@ -278,6 +278,8 @@ def to_system_config(spec: ScenarioSpec) -> SystemConfig:
     A user that does not resolve (an overflowing dB value, a budget that cannot
     be split, invalid powers) raises :class:`ScenarioError` naming ``users[idx]``.
     """
+    if spec.block_len > MAX_BLOCK_LEN:
+        raise ScenarioError(f"block_len exceeds the limit MAX_BLOCK_LEN = 2**53 = {MAX_BLOCK_LEN}")
     total_train = sum(u.train_len for u in spec.users)
     data_len = spec.block_len - total_train
     if data_len < 1:

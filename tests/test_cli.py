@@ -308,6 +308,9 @@ def test_plot_script_mentions_all_columns(tiny_scenario, tmp_path, monkeypatch):
 
 
 BUDGET_USER = TWO_USER_POINT.replace("train_power_db: 10.0\n    data_power_db: 10.0", "avg_power_db: 10.0", 1)
+HUGE_BLOCK = TWO_USER_POINT.replace("block_len: 20", f"block_len: {10**400}")
+HUGE_BLOCK_BUDGET_USER = BUDGET_USER.replace("block_len: 20", f"block_len: {10**400}")
+BLOCK_LEN_LIMIT = "block_len exceeds the limit MAX_BLOCK_LEN = 2**53"
 
 
 @pytest.mark.parametrize(
@@ -334,10 +337,19 @@ BUDGET_USER = TWO_USER_POINT.replace("train_power_db: 10.0\n    data_power_db: 1
         (TWO_USER_POINT, ["rates", "--alloc", "optimal", "--pw-db", "2000"], "P_w T = 1.9999999999999998e+201"),
         (TWO_USER_POINT, ["oracle-check", "--pw-db", "2000"], "P_w T = 1.9999999999999998e+201"),
         (TINY.replace("max_db: 10.0", "max_db: 1300.0"), ["sweep"], "P_w T = 3.1622776601683794e+120 exceeds"),
+        # A block length beyond model.MAX_BLOCK_LEN, checked before a budget-form user is split.
+        (HUGE_BLOCK, ["optimize"], BLOCK_LEN_LIMIT),
+        (HUGE_BLOCK, ["rates", "--alloc", "uniform"], BLOCK_LEN_LIMIT),
+        (HUGE_BLOCK_BUDGET_USER, ["optimize"], BLOCK_LEN_LIMIT),
+        (HUGE_BLOCK_BUDGET_USER, ["rates", "--alloc", "uniform"], BLOCK_LEN_LIMIT),
+        *((TWO_USER_POINT, ["oracle-check", "--grid", grid], "grid_resolution must lie in (0, 1]")
+          for grid in ("0", "-1", "2", "inf", "nan")),
     ],
     ids=["user_db", "jammer_db", "pw_db", "rates_pw_db", "oracle_pw_db", "sweep_db",
          "budget_train_len_0", "budget_tiny_avg_power", "sweep_point_count", "sweep_point_cap",
-         "energy", "rates_energy", "oracle_energy", "sweep_energy"],
+         "energy", "rates_energy", "oracle_energy", "sweep_energy",
+         "block_len", "rates_block_len", "budget_block_len", "rates_budget_block_len",
+         "grid_0", "grid_negative", "grid_2", "grid_inf", "grid_nan"],
 )
 def test_out_of_range_scenario_values_are_configuration_errors(tmp_path, capsys, text, argv, message):
     path = tmp_path / "case.scenario"

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import macjam as mj
+from macjam.model import MAX_BLOCK_LEN
 from _support import random_alloc, random_budget, random_config
 
 
@@ -35,6 +36,14 @@ def test_system_config_requires_data_phase():
     assert cfg.n_users == 2
     assert cfg.total_train_len == 10
     assert cfg.data_len == 1
+
+
+def test_system_config_rejects_block_len_beyond_the_limit():
+    u1 = mj.UserParams(1.0, 1.0, 1)
+    assert mj.SystemConfig(MAX_BLOCK_LEN, (u1,)).data_len == MAX_BLOCK_LEN - 1
+    for block_len in (MAX_BLOCK_LEN + 1, 10**400):
+        with pytest.raises(ValueError, match=r"block_len exceeds the limit MAX_BLOCK_LEN = 2\*\*53"):
+            mj.SystemConfig(block_len, (u1,))
 
 
 def test_jammer_budget_validation():
@@ -224,3 +233,15 @@ def test_rho_value_broadcasts():
     assert batch.shape == (40,)
     one = float(mj.rho_value(pts[0, :2], pts[0, 2], cfg, budget))
     assert batch[0] == pytest.approx(one, rel=1e-15)
+
+
+def test_rho_value_is_objective_rho_bit_for_bit():
+    # Both combine the same alpha/beta/gamma terms, so they agree exactly,
+    # over the full range of K, powers and budgets.
+    rng = np.random.default_rng(11)
+    for _ in range(2000):
+        k = int(rng.integers(1, 33))
+        cfg = random_config(rng, k=k, p_lo=1e-3, p_hi=1e8)
+        budget = random_budget(rng, -40.0, 100.0)
+        a = random_alloc(rng, k)
+        assert float(mj.rho_value(a.zeta_t_vec(), a.zeta_d, cfg, budget)) == mj.objective_rho(a, cfg, budget)
