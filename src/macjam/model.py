@@ -264,19 +264,31 @@ def lmmse_quality(user: UserParams, train_jam_power: float) -> EstimationQuality
     return EstimationQuality(est_var=s / (1.0 + s), err_var=1.0 / (1.0 + s))
 
 
-def _ratio_terms(zeta_t, zeta_d, cfg: SystemConfig, budget: JammerBudget):
-    """:func:`alpha_beta_gamma` over leading axes: ``zeta_t`` is a float array of
-    shape ``(..., K)``, ``zeta_d`` a float or an array of shape ``(...)``."""
-    p_t = cfg.train_power_vec()
-    p_d = cfg.data_power_vec()
-    t_t = cfg.train_len_vec()
+def _config_terms(cfg: SystemConfig, budget: JammerBudget):
+    """The per-config arguments of :func:`_ratio_terms`: ``(p_t, p_d, T_t, P_w T, T_d)``."""
     energy = budget.avg_power * cfg.block_len
+    return cfg.train_power_vec(), cfg.data_power_vec(), cfg.train_len_vec(), energy, cfg.data_len
+
+
+def _ratio_terms(zeta_t, zeta_d, p_t, p_d, t_t, energy, t_d):
+    """:func:`alpha_beta_gamma` over leading axes: ``zeta_t`` is a float array of
+    shape ``(..., K)``, ``zeta_d`` a float or an array of shape ``(...)``; the
+    config enters as the per-user vectors ``p_t``, ``p_d``, ``t_t`` (shape
+    ``(K,)``), the energy ``P_w T`` and the data length ``t_d``
+    (:func:`_config_terms`), so a caller that evaluates many points builds
+    them once."""
     q = 1.0 + zeta_t * energy / t_t
     pilot = 1.0 + p_t * t_t / q
     alphas = (p_d * p_t * t_t / q) / pilot
     betas = p_d / pilot
-    gamma = 1.0 / (1.0 + zeta_d * energy / cfg.data_len)
+    gamma = 1.0 / (1.0 + zeta_d * energy / t_d)
     return alphas, betas, gamma
+
+
+def _ratio_rho(zeta_t, zeta_d, *terms):
+    """:func:`rho_value` from :func:`_ratio_terms`' arguments; the users are the last axis."""
+    alphas, betas, gamma = _ratio_terms(zeta_t, zeta_d, *terms)
+    return gamma * alphas.sum(axis=-1) / (1.0 + gamma * betas.sum(axis=-1))
 
 
 def alpha_beta_gamma(
@@ -293,7 +305,7 @@ def alpha_beta_gamma(
     ``beta_k`` rises as the training jamming share grows.
     """
     _require_same_users(alloc, cfg)
-    return _ratio_terms(alloc.zeta_t_vec(), alloc.zeta_d, cfg, budget)
+    return _ratio_terms(alloc.zeta_t_vec(), alloc.zeta_d, *_config_terms(cfg, budget))
 
 
 def objective_rho(
@@ -338,11 +350,12 @@ def rho_value(
     """:func:`objective_rho` over raw ratio arrays (no allocation validation).
 
     ``zeta_t`` has shape ``(..., K)`` and ``zeta_d`` shape ``(...)``; the two
-    broadcast together.  Used by the optimizer for grids and line searches.
+    broadcast together.  The optimizer's grids and line searches evaluate the
+    same function through :func:`_ratio_rho`, with the config's vectors built
+    once per solve.
     """
     zt, zd = np.asarray(zeta_t, dtype=float), np.asarray(zeta_d, dtype=float)
-    alphas, betas, gamma = _ratio_terms(zt, zd, cfg, budget)
-    return gamma * alphas.sum(axis=-1) / (1.0 + gamma * betas.sum(axis=-1))
+    return _ratio_rho(zt, zd, *_config_terms(cfg, budget))
 
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0

@@ -185,7 +185,9 @@ def _check_output(stem) -> str:
 def parse_scenario(text: str, source: str = "<string>") -> ScenarioSpec:
     try:
         raw = yaml.safe_load(text)
-    except yaml.YAMLError as exc:
+    except (yaml.YAMLError, ValueError) as exc:
+        # ValueError: a scalar the YAML syntax accepts but Python cannot hold,
+        # such as an integer beyond the interpreter's digit limit.
         raise ScenarioError(f"{source}: parse error: {exc}") from exc
     _check_keys(ScenarioSpec, raw, source, required=_names(ScenarioSpec))
     block_len = _as_int(raw["block_len"], "block_len")

@@ -1,8 +1,9 @@
-"""Shared random generators for the test suites."""
+"""Shared random generators and reference helpers for the test suites."""
 
 import numpy as np
 
 import macjam as mj
+from macjam.optimizer import _rho_z, _simplex_grid
 
 
 def random_user(rng, p_lo=0.1, p_hi=100.0, max_train_len=3):
@@ -48,3 +49,15 @@ def rate_reduction_limit(cfg):
     return 1.0 - 4.0 * cfg.data_len * w.sum() ** 2 / (
         cfg.block_len**2 * (tt * pd * pt).sum()
     )
+
+
+def whole_grid_argmin(dim, steps, sys):
+    """The oracle's grid start as one argmin over the whole grid in row (C) order.
+
+    The reference for the oracle's blocked search: returns the first row of
+    least objective and its value.
+    """
+    grid = np.ascontiguousarray(_simplex_grid(dim, steps))
+    vals = _rho_z(grid, sys)
+    i = int(np.argmin(vals))
+    return grid[i], vals[i]

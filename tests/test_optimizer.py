@@ -1,5 +1,6 @@
 import math
 import re
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -8,7 +9,7 @@ import pytest
 import macjam as mj
 from macjam import optimizer as opt
 from macjam.optimizer import _simplex_grid
-from _support import random_budget, random_config, rate_reduction_limit
+from _support import random_budget, random_config, rate_reduction_limit, whole_grid_argmin
 
 T100 = 100
 
@@ -288,6 +289,92 @@ def test_simplex_grid_lists_every_composition_in_lexicographic_order(dim, steps)
     diff = np.diff(counts, axis=0)
     first = np.argmax(diff != 0, axis=1)
     assert np.all(diff[np.arange(diff.shape[0]), first] > 0)
+
+
+# Grids of 60k-92k rows: several blocks of ORACLE_BLOCK_ROWS each.
+@pytest.mark.parametrize("dim, steps", [(2, 60000), (3, 400), (4, 80), (5, 35), (6, 22), (7, 16)])
+def test_blocked_grid_search_matches_one_argmin_over_the_grid(dim, steps):
+    assert math.comb(steps + dim - 1, dim - 1) > 2 * opt.ORACLE_BLOCK_ROWS
+    rng = np.random.default_rng(dim)
+    for _ in range(3):
+        sys = opt._sys(random_config(rng, k=dim - 1, p_lo=1e-3, p_hi=1e8), random_budget(rng))
+        z_ref, val_ref = whole_grid_argmin(dim, steps, sys)
+        z, val = opt._first_min(opt._grid_blocks(dim, steps), sys)
+        assert [v.hex() for v in z] == [v.hex() for v in z_ref]
+        assert float(val).hex() == float(val_ref).hex()
+
+
+def test_blocked_grid_search_keeps_the_first_of_tied_rows():
+    # At a zero budget every grid value is equal, so every block ties with the first.
+    sys = opt._sys(random_config(np.random.default_rng(5), k=2), mj.JammerBudget(0.0))
+    blocks = list(opt._grid_blocks(3, 400))
+    assert len(blocks) > 1
+    z, _ = opt._first_min(blocks, sys)
+    assert z.tolist() == [0.0, 0.0, 1.0]
+    assert z.tolist() == whole_grid_argmin(3, 400, sys)[0].tolist()
+
+
+@pytest.mark.parametrize("dim, steps", [(2, 40000), (3, 300), (12, 10), (6, 1)])
+def test_grid_blocks_hold_whole_leading_counts_in_order(dim, steps):
+    # At dim 12, steps 10 leading count 0 alone heads 184,756 rows, more than a block.
+    blocks = list(opt._grid_blocks(dim, steps))
+    grid = _simplex_grid(dim, steps)
+    assert np.array_equal(np.concatenate(blocks), grid)
+    limit = max(opt.ORACLE_BLOCK_ROWS, math.comb(steps + dim - 2, dim - 2))
+    assert all(0 < len(b) <= limit for b in blocks)
+    assert all(b[0, 0] > a[-1, 0] for a, b in zip(blocks, blocks[1:]))
+
+
+# float.hex of (allocation..., rho*, nu*, residual) and iterations, as the
+# solvers returned them before the oracle's grid was evaluated in blocks.  K = 3
+# at grid 1e-3 is over the grid cap, so its oracle starts from the Dirichlet sample.
+U = mj.UserParams
+RECORDED = {
+    1: (mj.SystemConfig(10, (U(10.0, 10.0, 1),)), 100.0, {
+        "oracle": (["0x1.16872b59cac55p-1", "0x1.d2f1a94c6a756p-2", "0x1.8018018018018p-9",
+                    "0x1.5b0b6010f6bf0p-8", "0x1.aca5aa8000000p-34"], 1),
+        "descent": (["0x1.16872b0129e7fp-1", "0x1.d2f1a9fdac302p-2", "0x1.8018018018017p-9",
+                     "0x1.5b0b6010f6becp-8", "0x1.147ae00000000p-40"], 4),
+    }),
+    2: (mj.SystemConfig(40, (U(3.0, 20.0, 1), U(15.0, 5.0, 2))), 8.0, {
+        "oracle": (["0x1.70e5d5d08b9ffp-2", "0x1.478d1517ba300p-1", "0x0.0p+0", "0x1.11913fc6d0cf4p-4",
+                    "0x1.e3e0a6f1eba2cp-5", "0x1.2161e10000000p-31"], 2),
+        "descent": (["0x1.70e5d5a901fb2p-2", "0x1.478d152b7f027p-1", "0x0.0p+0", "0x1.11913fc6d0cf4p-4",
+                     "0x1.e3e0a70da08acp-5", "0x1.8800000000000p-40"], 10),
+    }),
+    3: (mj.SystemConfig(60, (U(3.0, 20.0, 1), U(15.0, 5.0, 2), U(40.0, 0.5, 3))), 30.0, {
+        "oracle": (["0x1.9e8c3e63685f7p-3", "0x1.b14bb67fe41c6p-2", "0x1.38e328861fffap-3",
+                    "0x1.c5f92c16af684p-3", "0x1.90d07c87fa53dp-6", "0x1.93e36b87c76fep-6",
+                    "0x1.54e3874000000p-31"], 3),
+        "descent": (["0x1.9e8c3ebf5f4e6p-3", "0x1.b14bb66e99fc8p-2", "0x1.38e328163eb17p-3",
+                     "0x1.c5f92c4d2e072p-3", "0x1.90d07c87fa53fp-6", "0x1.93e36b77789f4p-6",
+                     "0x1.54dc680000000p-36"], 24),
+    }),
+}
+
+
+@pytest.mark.parametrize("k", RECORDED)
+def test_reference_solvers_reproduce_recorded_bits(k):
+    cfg, power, expected = RECORDED[k]
+    budget = mj.JammerBudget(power)
+    results = {
+        "oracle": mj.solve_oracle(cfg, budget, grid_resolution=1e-3),
+        "descent": mj.solve_projected_descent(cfg, budget),
+    }
+    for name, res in results.items():
+        values = [*res.alloc.as_vector(), res.rho_star, res.nu_star, res.kkt_residual]
+        assert ([v.hex() for v in values], res.iterations) == expected[name], name
+
+
+def test_oracle_memory_peak_stays_bounded():
+    cfg, power, _ = RECORDED[2]
+    tracemalloc.start()
+    try:
+        mj.solve_oracle(cfg, mj.JammerBudget(power), grid_resolution=1e-3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16 * 2**20, f"{peak / 2**20:.1f} MiB"
 
 
 def test_oracle_agrees_with_solve_over_extreme_range():

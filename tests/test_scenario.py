@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -250,3 +251,10 @@ def test_output_must_be_a_plain_stem(stem):
     # A JSON string is a YAML double-quoted scalar, escapes included.
     with pytest.raises(ScenarioError, match="output .* must be a file name stem"):
         parse_scenario(GOOD.replace("output: demo", f"output: {json.dumps(stem)}"))
+
+
+def test_integer_beyond_the_digit_limit_is_a_parse_error_naming_the_file(tmp_path):
+    path = tmp_path / "big.yaml"
+    path.write_text(GOOD.replace("block_len: 100", "block_len: 1" + "0" * 5000))
+    with pytest.raises(ScenarioError, match=rf"^{re.escape(str(path))}: parse error: "):
+        mj.load_scenario(path)
