@@ -332,9 +332,10 @@ def _build_parser() -> argparse.ArgumentParser:
         "--workers",
         type=int,
         default=1,
-        help="threads that draw each rate report's samples; a sweep draws them once, "
-        f"on one thread, if they take at most {SWEEP_BANK_MAX_BYTES // 2**20} MiB "
-        "(samples x K x 8 bytes), else once per report",
+        help="threads that draw and reduce each rate report's samples when it draws its own; "
+        "a sweep draws them once, on one thread, into one array if they take at most "
+        f"{SWEEP_BANK_MAX_BYTES // 2**20} MiB (samples x K x 8 bytes) and prices each report "
+        "from it in spans of at most 32 blocks, else each report draws them again",
     )
     p_sweep.set_defaults(handler=_cmd_sweep)
 

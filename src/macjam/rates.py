@@ -12,6 +12,7 @@ per-user SINR coefficients of :func:`macjam.model._sinr_coeffs`; their sum is
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -42,6 +43,10 @@ _LN2 = math.log(2.0)
 # keyed by (seed, block index).  Sample i therefore depends only on (seed, i),
 # and worker count changes who computes a block, never its content.
 _BLOCK = 8192
+
+# A bank's report is priced in spans of at most this many blocks, so the kernel's
+# temporaries stay at 2 MiB (32 x 8192 doubles) at any sample count.
+_SPAN_BLOCKS = 32
 
 
 @dataclass(frozen=True)
@@ -90,9 +95,13 @@ def _check_count(name: str, value) -> None:
         raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
 
 
-def _draw_block(seed: int, block: int, count: int, n_users: int) -> np.ndarray:
-    """Unit-mean exponentials of one block, built in the array the generator fills."""
-    e = Generator(Philox(SeedSequence([seed, block]))).random((count, n_users))
+def _draw_block(
+    seed: int, block: int, count: int, n_users: int, out: np.ndarray | None = None
+) -> np.ndarray:
+    """Unit-mean exponentials of one block, built in the array the generator fills.
+
+    ``out``, if given, is that ``(count, n_users)`` C-contiguous array."""
+    e = Generator(Philox(SeedSequence([seed, block]))).random((count, n_users), out=out)
     # Inverse-CDF exponentials -log1p(-u) keep the draw count per sample fixed.
     np.negative(e, out=e)
     np.log1p(e, out=e)
@@ -100,42 +109,63 @@ def _draw_block(seed: int, block: int, count: int, n_users: int) -> np.ndarray:
     return e
 
 
-def _reduce(e: np.ndarray, coeffs: np.ndarray, pref: float) -> tuple[float, float]:
-    """Sum and sum of squares of ``pref * log2(1 + e @ coeffs)`` over a block's rows."""
+def _block_sums(x: np.ndarray) -> list[float]:
+    """The sum of each whole block of ``_BLOCK`` entries of ``x``, then of the shorter tail if any."""
+    if len(x) <= _BLOCK:
+        return [float(x.sum())]
+    full = len(x) - len(x) % _BLOCK
+    sums = x[:full].reshape(-1, _BLOCK).sum(axis=1).tolist()
+    if full < len(x):
+        sums.append(float(x[full:].sum()))
+    return sums
+
+
+def _reduce(e: np.ndarray, coeffs: np.ndarray, pref: float) -> tuple[list[float], list[float]]:
+    """Per-block sums and sums of squares of ``pref * log2(1 + e @ coeffs)``.
+
+    ``e``'s rows are whole blocks of ``_BLOCK`` samples, then at most one shorter
+    tail.  Each row of the product depends on its own row only, and a row sum of
+    the reshaped blocks is the same pairwise sum as a block's own ``sum()``, so
+    every block sum has the bits of that block reduced alone."""
     x = e @ coeffs
     x += 1.0
     np.log2(x, out=x)
     x *= pref
-    total = float(x.sum())
+    sums = _block_sums(x)
     x *= x
-    return total, float(x.sum())
+    return sums, _block_sums(x)
 
 
 @dataclass(frozen=True, eq=False)
 class SampleBank:
-    """The exponential draws of one ``(seed, samples, n_users)``, block by block.
+    """The exponential draws of one ``(seed, samples, n_users)`` as one array.
 
     Made by :func:`draw_samples` and passed to :func:`sum_rate_mc` or
     :func:`rate_report` through ``bank=``, so that reports sharing a seed
-    (common random numbers) draw their samples once.  It holds
-    ``samples * n_users * 8`` bytes: 6.4 MB for 200,000 samples of 4 users,
-    51 MB at 32 users.  The blocks are read-only.
+    (common random numbers) draw their samples once.  ``draws`` is a read-only,
+    C-contiguous ``(samples, n_users)`` array whose rows ``[b * 8192, (b + 1) * 8192)``
+    are block ``b``'s draws.  It holds ``samples * n_users * 8`` bytes: 6.4 MB
+    for 200,000 samples of 4 users, 51 MB at 32 users.
     """
 
     seed: int
     samples: int
     n_users: int
-    blocks: tuple[np.ndarray, ...]
+    draws: np.ndarray
 
 
 def draw_samples(mc: MonteCarloSettings, n_users: int) -> SampleBank:
-    """Draw the blocks that :func:`sum_rate_mc` would draw for ``mc`` and ``n_users`` users."""
+    """Draw the samples that :func:`sum_rate_mc` would draw for ``mc`` and ``n_users`` users.
+
+    Each block is generated in place into its rows of the bank, from the same
+    Philox stream as a fresh draw."""
     _check_count("n_users", n_users)
     n_users = int(n_users)
-    blocks = [_draw_block(mc.seed, b, m, n_users) for b, m in _block_sizes(mc.samples)]
-    for e in blocks:
-        e.flags.writeable = False
-    return SampleBank(mc.seed, mc.samples, n_users, tuple(blocks))
+    draws = np.empty((mc.samples, n_users))
+    for b, m in _block_sizes(mc.samples):
+        _draw_block(mc.seed, b, m, n_users, out=draws[b * _BLOCK : b * _BLOCK + m])
+    draws.flags.writeable = False
+    return SampleBank(mc.seed, mc.samples, n_users, draws)
 
 
 def sum_rate_mc(
@@ -152,22 +182,27 @@ def sum_rate_mc(
     ``confidence_z`` times the standard error.  Deterministic for a fixed seed
     regardless of ``workers``: blocks are reduced in index order.
 
-    Without ``bank`` each call draws its own samples.  A ``bank`` from
-    :func:`draw_samples` holds those same draws, so the result is the same
-    bits; it must match ``(mc.seed, mc.samples, cfg.n_users)`` or this raises
-    ``ValueError``.  A bank costs ``samples * K * 8`` bytes of memory for as
-    long as the caller keeps it: 6.4 MB for the bundled fig2 sweep (200,000
-    samples, K = 4), 51 MB at K = 32.  With ``workers`` > 1 and no bank,
-    that many threads draw and reduce the blocks; a bank's blocks are reduced
-    on the calling thread, since threads only slow that short reduction.
+    Without ``bank`` each call draws its own samples, one block of 8192 at a
+    time; with ``workers`` > 1, up to ``min(workers, blocks, os.cpu_count())``
+    threads draw and reduce the blocks.  A ``bank`` from :func:`draw_samples`
+    holds those same draws, so the result is the same bits; it must match
+    ``(mc.seed, mc.samples, cfg.n_users)`` or this raises ``ValueError``.  A
+    bank's report is priced on the calling thread, in spans of at most 32
+    blocks (2 MiB of temporaries at any sample count); BLAS may use its own
+    threads for the product, which changes no bit.  A bank costs
+    ``samples * K * 8`` bytes of memory for as long as the caller keeps it:
+    6.4 MB for the bundled fig2 sweep (200,000 samples, K = 4), 51 MB at K = 32.
     """
     _check_count("workers", workers)
     coeffs, pref = _sinr_coeffs(alloc, cfg, budget)
     if bank is None:
         k = coeffs.size
         blocks = _block_sizes(mc.samples)
-        if workers > 1 and len(blocks) > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
+        # Each submit starts a thread while none is idle, so the pool is capped
+        # at what can run at once.
+        threads = min(workers, len(blocks), os.cpu_count() or 1)
+        if threads > 1:
+            with ThreadPoolExecutor(max_workers=threads) as pool:
                 stats = list(
                     pool.map(lambda b: _reduce(_draw_block(mc.seed, *b, k), coeffs, pref), blocks)
                 )
@@ -179,13 +214,15 @@ def sum_rate_mc(
             raise ValueError(
                 f"sample bank drawn for (seed, samples, K) = {drawn_for}, asked for {asked}"
             )
-        stats = [_reduce(e, coeffs, pref) for e in bank.blocks]
+        span = _SPAN_BLOCKS * _BLOCK
+        stats = [_reduce(bank.draws[i : i + span], coeffs, pref) for i in range(0, mc.samples, span)]
     n = mc.samples
     total = 0.0
     total_sq = 0.0
-    for s1, s2 in stats:
-        total += s1
-        total_sq += s2
+    for sums, sums_sq in stats:
+        for s1, s2 in zip(sums, sums_sq):
+            total += s1
+            total_sq += s2
     mean = total / n
     if n > 1:
         var = max(0.0, (total_sq - n * mean * mean) / (n - 1))

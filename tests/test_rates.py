@@ -1,4 +1,6 @@
 import math
+import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -149,24 +151,32 @@ def test_in_place_kernel_keeps_the_bits_of_the_temporary_kernel(k):
     alloc, cfg, budget = _setup(k)
     mc = mj.MonteCarloSettings(samples=20_001, seed=11)
     coeffs, pref = mj.rates._sinr_coeffs(alloc, cfg, budget)
-    stats = [
-        mj.rates._reduce(mj.rates._draw_block(mc.seed, b, m, k), coeffs, pref)
-        for b, m in mj.rates._block_sizes(mc.samples)
-    ]
+    blocks = [mj.rates._draw_block(mc.seed, b, m, k) for b, m in mj.rates._block_sizes(mc.samples)]
+    # One call over every block and the tail gives each block's sums, as one call per block does.
+    sums, sums_sq = mj.rates._reduce(np.concatenate(blocks), coeffs, pref)
+    one_by_one = [mj.rates._reduce(e, coeffs, pref) for e in blocks]
+    assert sums == [s for s1, _ in one_by_one for s in s1]
+    assert sums_sq == [s for _, s2 in one_by_one for s in s2]
     total = total_sq = 0.0
-    for s1, s2 in stats:
+    for s1, s2 in zip(sums, sums_sq):
         total += s1
         total_sq += s2
     assert (total, total_sq) == _old_kernel_estimate(alloc, cfg, budget, mc)
 
 
-@pytest.mark.parametrize("k", [1, 4, 32])
-@pytest.mark.parametrize("samples", [1, 8191, 8192, 8193, 20_001])
+@pytest.mark.parametrize("k", [1, 4, 8, 32])
+@pytest.mark.parametrize(
+    "samples",
+    # A one-sample tail, no tail, and one span of 32 blocks plus more.
+    [1, 8191, 8192, 8193, 16_384, 3 * 8192 + 1, 20_001, 33 * 8192 + 5],
+)
 def test_bank_gives_the_bits_of_a_fresh_draw(k, samples):
     alloc, cfg, budget = _setup(k)
     mc = mj.MonteCarloSettings(samples=samples, seed=5)
     bank = mj.draw_samples(mc, k)
-    assert sum(e.nbytes for e in bank.blocks) == samples * k * 8
+    assert bank.draws.shape == (samples, k)
+    assert bank.draws.flags.c_contiguous
+    assert bank.draws.nbytes == samples * k * 8
     for workers in (1, 3):
         fresh = mj.sum_rate_mc(alloc, cfg, budget, mc, workers=workers)
         assert mj.sum_rate_mc(alloc, cfg, budget, mc, workers=workers, bank=bank) == fresh
@@ -177,7 +187,58 @@ def test_bank_gives_the_bits_of_a_fresh_draw(k, samples):
 def test_bank_is_read_only():
     bank = mj.draw_samples(mj.MonteCarloSettings(samples=10, seed=1), 2)
     with pytest.raises(ValueError):
-        bank.blocks[0][0, 0] = 1.0
+        bank.draws[0, 0] = 1.0
+
+
+def test_bank_report_temporaries_stay_within_one_span():
+    # 40 blocks of one user: priced in one pass, the temporaries would take 2.5 MiB.
+    alloc, cfg, budget = _setup(1)
+    mc = mj.MonteCarloSettings(samples=40 * 8192, seed=3)
+    bank = mj.draw_samples(mc, 1)
+    before = bank.draws.tobytes()
+    span_bytes = mj.rates._SPAN_BLOCKS * 8192 * 8
+    tracemalloc.start()
+    try:
+        mj.sum_rate_mc(alloc, cfg, budget, mc, bank=bank)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert span_bytes == 2 * 2**20
+    assert peak < span_bytes + 2**18
+    assert bank.draws.tobytes() == before
+
+
+class _InlinePool:
+    """A stand-in for ThreadPoolExecutor that records its size and starts no thread."""
+
+    sizes: list = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return map(fn, items)
+
+
+@pytest.mark.parametrize(
+    "cpus, samples, pool_size",
+    [(64, 3 * 8192, 3), (2, 3 * 8192, 2), (None, 3 * 8192, None), (64, 8192, None)],
+)
+def test_thread_pool_is_capped_at_blocks_and_cpus(monkeypatch, cpus, samples, pool_size):
+    alloc, cfg, budget = _setup(4)
+    mc = mj.MonteCarloSettings(samples=samples, seed=8)
+    expected = mj.sum_rate_mc(alloc, cfg, budget, mc)
+    monkeypatch.setattr(_InlinePool, "sizes", [])
+    monkeypatch.setattr(mj.rates, "ThreadPoolExecutor", _InlinePool)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    assert mj.sum_rate_mc(alloc, cfg, budget, mc, workers=1_000_000) == expected
+    assert _InlinePool.sizes == ([] if pool_size is None else [pool_size])
 
 
 def test_bank_for_other_draws_is_rejected():
