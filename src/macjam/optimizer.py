@@ -7,14 +7,15 @@ scalar: every free training ratio is set by a single proportionality
 constant, which solves a linear equation when the data ratio is pinned at
 zero and a quadratic when it is free.  A training ratio is free iff that
 constant exceeds the user's budget-independent threshold, so the free
-training set is a prefix of the users sorted by threshold.  The primary
-solver screens these 2K+1 candidate free sets in one vectorized pass, with
-the primal and dual sign checks relaxed by a small slack; only the survivors
-(usually one) are solved again exactly and sign-checked exactly, and the best
-certified one is returned (sorted-threshold water-filling), which is what
-lets the returned points carry machine-precision KKT certificates.  So a
-solve costs a fixed number of NumPy calls plus one exact solve per survivor,
-whatever K.
+training set is a prefix of the users sorted by threshold: water-filling.
+The primary solver screens these 2K+1 candidate free sets by that rule, one
+scalar check per candidate on vectors of length 2K+1: the constant against
+the last free user's threshold and the first pinned user's, plus the data
+coordinate's signs, each relaxed by a small slack.  Only the survivors
+(usually one) are solved again exactly and sign-checked exactly on the full
+gradient, and the best certified one is returned, which is what lets the
+returned points carry machine-precision KKT certificates.  So a solve costs
+a fixed number of NumPy calls plus one exact solve per survivor, whatever K.
 
 Independent cross-checks: a closed-form interior solution valid at high
 jamming power, the infinite-power limit, a brute-force simplex-grid oracle,
@@ -36,7 +37,6 @@ from .model import (
     UserParams,
     _golden_section,
     _ratio_rho,
-    objective_rho,
     uniform_allocation,
 )
 
@@ -285,58 +285,55 @@ def _validate_candidate(sys: _Sys, z: np.ndarray, free: np.ndarray):
 
 
 def _screen_active_sets(sys: _Sys, order: np.ndarray):
-    """Every candidate free set at once, with relaxed sign checks.
+    """Every candidate free set at once, screened by the water-filling rule.
 
     Row ``2m - 1`` frees the first ``m`` users of ``order`` with the data
-    ratio pinned, row ``2m`` the same users with the data ratio free: the
-    order in which :func:`_enumerate_active_sets` confirms them.  Each row
-    repeats :func:`_refine_active_set` and :func:`_validate_candidate` on
-    (2K+1) x (K+1) arrays, but with the users in ``order``, the free-set
-    sums taken as running sums and the training ratios in the direct form
-    ``(cp w_k - x_k) / energy``.  So the sign checks allow ``SCREEN_SLACK``
-    times the size of the terms each checked value is a difference of.
-    Returns ``(solvable, passed)``, two row masks: the rows whose free set
-    has a solution, and those among them that pass.
+    ratio pinned, row ``2m`` also the data ratio: the order in which
+    :func:`_enumerate_active_sets` confirms them.  On a row every free
+    training denominator is ``cp w_k``, so every free training gradient is
+    ``-C / cp^2`` and a pinned user's ``-C (w_k / x_k)^2``.  With ``w / x``
+    falling along ``order``, ``cp`` against the last free and the first
+    pinned user's ``w / x`` decides the training signs; the data coordinate
+    adds one check of each kind.  Each check allows ``SCREEN_SLACK`` times
+    the size of the terms its value is a difference of.  Returns
+    ``(solvable, passed)``, two row masks: the rows whose free set has a
+    solution, and those among them that pass.
     """
     pt, pd, tt, w, x = (v[order] for v in (sys.pt, sys.pd, sys.tt, sys.w, sys.x))
-    k = w.size
-    energy, td = sys.energy, sys.Td
+    k, energy, td = w.size, sys.energy, sys.Td
     rows = np.arange(2 * k + 1)
     m = (rows + 1) // 2
     free_d = rows % 2 == 0
-    free = np.concatenate([np.arange(k) < m[:, None], free_d[:, None]], axis=1)
-    w_free = np.concatenate(((0.0,), w.cumsum()))[m]
-    x_free = np.concatenate(((0.0,), x.cumsum()))[m]
-    # The pinned users' alpha at zero jamming, summed from the last user.
-    pt_tt = pt * tt
-    a2 = np.concatenate(((pd * pt_tt / (1.0 + pt_tt))[::-1].cumsum()[::-1], (0.0,)))[m]
+    w_free, x_free, pd_free = (np.concatenate(((0.0,), v.cumsum()))[m] for v in (w, x, pd))
+    # The pinned users' alpha and beta at zero jamming, summed from the last user.
+    pilot = 1.0 + pt * tt
+    pinned = (pd * (pt * tt) / pilot, pd / pilot)
+    a2, b2 = (np.concatenate((v[::-1].cumsum()[::-1], (0.0,)))[m] for v in pinned)
     # The proportionality constant cp = num / den: the positive root of the
     # quadratic with the data ratio free, (energy + x_free) / w_free without.
     rhs = energy + td * (1.0 + sys.S) + x_free
     den = np.where(free_d, w_free + np.sqrt(w_free * w_free + a2 * rhs), w_free)
     solvable = den > 0.0
     cp = np.where(free_d, rhs, energy + x_free) / np.where(solvable, den, 1.0)
-    # Energy times each ratio, and the size of the terms it is a difference of.
-    cp_w = cp[:, None] * w
-    cp_wf = cp * w_free
-    u = np.concatenate([cp_w - x, (energy + x_free - cp_wf)[:, None]], axis=1)
-    size = np.concatenate([cp_w + x, (energy + 2.0 * td + x_free + cp_wf)[:, None]], axis=1)
-    primal = (~free | (u > -SCREEN_SLACK * size)).all(axis=1)
-    # _grad row by row, with the pinned ratios at zero and the free ones
-    # clipped to the simplex.
-    u = np.where(free, np.maximum(u, 0.0), 0.0)
-    u_t, u_d = u[:, :k], u[:, k:]
-    s = pt_tt * tt / (tt + u_t)
-    gamma = td / (td + u_d)
-    inv = 1.0 / (1.0 + s)
-    e_sq = (1.0 + gamma * (pd * inv).sum(axis=1, keepdims=True)) ** 2
-    g_t = (-energy * gamma * (1.0 + gamma * sys.S) / e_sq) * (pd * pt * tt**2) / (u_t + x) ** 2
-    g_d = -energy * td * (pd * s * inv).sum(axis=1, keepdims=True) / ((u_d + td) ** 2 * e_sq)
-    g = np.concatenate([g_t, g_d], axis=1)
-    # Row r has r // 2 + 1 free coordinates.
-    nu = -np.where(free, g, 0.0).sum(axis=1, keepdims=True) / (rows // 2 + 1)[:, None]
-    bound = -1e-9 - (1e-9 + SCREEN_SLACK) * np.abs(nu) - SCREEN_SLACK * np.abs(g)
-    dual = (free | (g + nu >= bound)).all(axis=1)
+    # The inverse thresholds w / x (0 if silent) of the last free and first pinned user.
+    inv_thr = w / x
+    last_free, first_pinned = inv_thr[np.maximum(m - 1, 0)], inv_thr[np.minimum(m, k - 1)]
+    # Energy times the data ratio; its slack scales with the terms it is a difference of.
+    u_d = energy + x_free - cp * w_free
+    primal = (m == 0) | (cp * last_free - 1.0 > -SCREEN_SLACK * (cp * last_free + 1.0))
+    primal &= ~free_d | (u_d > -SCREEN_SLACK * (energy + 2.0 * td + x_free + cp * w_free))
+    # The gradient's scalars at the data ratio clipped to 0; the free alphas sum to w_free / cp.
+    d_d = td + np.where(free_d, np.maximum(u_d, 0.0), 0.0)
+    gamma = td / d_d
+    e_sq = (1.0 + gamma * (pd_free - w_free / cp + b2)) ** 2
+    c = energy * gamma * (1.0 + gamma * sys.S) / e_sq
+    g_d = -energy * td * (w_free / cp + a2) / (d_d**2 * e_sq)
+    # Row r has r // 2 + 1 free coordinates; m of them are training ratios.
+    nu = (m * c / cp / cp - np.where(free_d, g_d, 0.0)) / (rows // 2 + 1)
+    # The most negative pinned training gradient, the first pinned user's, and the data's.
+    g = np.stack((-c * first_pinned**2, g_d))
+    signed = g + nu >= -1e-9 - (1e-9 + SCREEN_SLACK) * np.abs(nu) - SCREEN_SLACK * np.abs(g)
+    dual = ((m == k) | signed[0]) & (free_d | signed[1])
     return solvable, solvable & primal & dual
 
 
@@ -347,11 +344,12 @@ def _enumerate_active_sets(sys: _Sys):
     positive iff that constant exceeds ``(1 + pt tt) / sqrt(pd pt)``; the free
     set is therefore a prefix of the users sorted by that threshold, leaving
     2K+1 candidates (the empty set is excluded).  :func:`_screen_active_sets`
-    sign-checks all of them in one pass with a slack; only the candidates it
-    passes are solved exactly and sign-checked again, in order of the number
-    of free users, data pinned first.  Returns ``(best, tried)``: the
-    sign-valid candidate ``(zt, zd, nu)`` with the smallest raw residual, or
-    None, and the number of candidates that had a solution to sign-check.
+    checks all of them by that rule in one pass with a slack; only the
+    candidates it passes are solved exactly and sign-checked again, in order
+    of the number of free users, data pinned first.  Returns ``(best,
+    tried)``: the sign-valid candidate ``(zt, zd, nu)`` with the smallest raw
+    residual, or None, and the number of candidates that had a solution to
+    sign-check.
     """
     w = sys.w
     ratio = np.where(w > 0.0, sys.x / np.where(w > 0.0, w, 1.0), math.inf)
@@ -375,12 +373,12 @@ def _enumerate_active_sets(sys: _Sys):
     return (None if best is None else best[1:]), int(solvable.sum())
 
 
-def _flat_result(cfg: SystemConfig, budget: JammerBudget, method: str) -> SolveResult:
+def _flat_result(cfg: SystemConfig, sys: _Sys, method: str) -> SolveResult:
     """The duration-proportional split, certified with ``nu`` and residual 0, on a flat objective."""
     alloc = uniform_allocation(cfg)
     return SolveResult(
         alloc=alloc,
-        rho_star=objective_rho(alloc, cfg, budget),
+        rho_star=float(_rho_z(alloc.as_vector(), sys)),
         nu_star=0.0,
         lambdas=(0.0,) * (cfg.n_users + 1),
         active_set=(),
@@ -390,15 +388,7 @@ def _flat_result(cfg: SystemConfig, budget: JammerBudget, method: str) -> SolveR
     )
 
 
-def _build_result(
-    cfg: SystemConfig,
-    budget: JammerBudget,
-    sys: _Sys,
-    z: np.ndarray,
-    method: str,
-    iterations: int,
-    nu: float | None = None,
-) -> SolveResult:
+def _build_result(sys: _Sys, z: np.ndarray, method: str, iterations: int, nu: float | None = None) -> SolveResult:
     try:
         alloc = JammerAllocation(tuple(z[:-1].tolist()), float(z[-1]))
     except ValueError as exc:
@@ -412,7 +402,7 @@ def _build_result(
     residual = _residual(z, lam)
     return SolveResult(
         alloc=alloc,
-        rho_star=objective_rho(alloc, cfg, budget),
+        rho_star=float(_rho_z(z, sys)),
         nu_star=float(nu),
         lambdas=tuple(max(0.0, v) for v in lam.tolist()),
         active_set=tuple(np.flatnonzero(z <= ACTIVE_TOL).tolist()),
@@ -425,23 +415,26 @@ def _build_result(
 def solve_kkt(cfg: SystemConfig, budget: JammerBudget) -> SolveResult:
     """Primary solver: exact solves on the 2K+1 candidate free sets.
 
-    One vectorized pass solves every candidate and applies the primal and
-    dual sign checks with a slack (``SCREEN_SLACK``) that only admits extra
-    candidates.  Those it passes are solved again exactly, one at a time, and
-    every one that passes the exact sign checks is a KKT point; the one with
-    the smallest residual is returned, with ``iterations`` counting the
-    candidates that had a solution to sign-check; a flat objective returns
-    :func:`_flat_result`.  Raises :class:`SolverError` when no candidate
-    passes or the returned allocation does not certify to ``CERT_TOL``.
+    One vectorized pass screens every candidate by the water-filling rule:
+    one scalar check per candidate puts its constant against the last free
+    user's threshold (primal) and the first pinned user's (dual), and two
+    more check the data coordinate's signs, all with a slack
+    (``SCREEN_SLACK``) that only admits extra candidates.  Those it passes
+    are solved again exactly, one at a time, and every one that passes the
+    exact sign checks is a KKT point; the one with the smallest residual
+    is returned, with ``iterations`` counting the candidates that had a
+    solution to sign-check; a flat objective returns :func:`_flat_result`.
+    Raises :class:`SolverError` when no candidate passes or the returned
+    allocation does not certify to ``CERT_TOL``.
     """
     sys = _sys(cfg, budget)
     if _flat(sys):
-        return _flat_result(cfg, budget, METHOD_KKT)
+        return _flat_result(cfg, sys, METHOD_KKT)
     best, tried = _enumerate_active_sets(sys)
     if best is None:
         raise SolverError("no candidate free set passed the sign checks", math.inf)
     z, nu = best
-    result = _build_result(cfg, budget, sys, z, METHOD_KKT, tried, nu=nu)
+    result = _build_result(sys, z, METHOD_KKT, tried, nu=nu)
     if result.kkt_residual > CERT_TOL:
         raise SolverError("no candidate free set certifies the optimum", result.kkt_residual)
     return result
@@ -472,7 +465,7 @@ def solve_closed_form(cfg: SystemConfig, budget: JammerBudget) -> SolveResult | 
     zd = 0.5 + (t_t + delta - sys.Td * (1.0 + sys.S)) / (2.0 * sys.energy)
     if not (np.all(zt > 0.0) and zd > 0.0):
         return None
-    return _build_result(cfg, budget, sys, np.append(zt, zd), METHOD_CLOSED_FORM, 0)
+    return _build_result(sys, np.append(zt, zd), METHOD_CLOSED_FORM, 0)
 
 
 def solve_asymptotic(cfg: SystemConfig) -> JammerAllocation:
@@ -630,7 +623,7 @@ def solve_oracle(cfg: SystemConfig, budget: JammerBudget, grid_resolution: float
         blocks = [np.asfortranarray(np.concatenate([np.eye(dim), np.full((1, dim), 1.0 / dim), samples]))]
     z0, _ = _first_min(blocks, sys)
     z, _, sweeps = _pair_descent(z0, sys)
-    return _build_result(cfg, budget, sys, z, METHOD_ORACLE, sweeps)
+    return _build_result(sys, z, METHOD_ORACLE, sweeps)
 
 
 def _project_simplex(v: np.ndarray) -> np.ndarray:
@@ -641,8 +634,7 @@ def _project_simplex(v: np.ndarray) -> np.ndarray:
     return np.maximum(v - shifted[r - 1] / r, 0.0)
 
 
-def _descend(z0, cfg, budget):
-    sys = _sys(cfg, budget)
+def _descend(z0, sys: _Sys):
     z = _project_simplex(np.asarray(z0, dtype=float))
     f = _rho_z(z, sys)
     g = _grad_z(sys, z)
@@ -685,6 +677,7 @@ def solve_projected_descent(cfg: SystemConfig, budget: JammerBudget) -> SolveRes
     infinite-budget limit and one seeded random point) keep a single poor
     start from deciding the result; the first of equally good ends is kept.
     """
+    sys = _sys(cfg, budget)
     k = cfg.n_users
     rng = np.random.default_rng(DESCENT_SEED)
     starts = [
@@ -694,8 +687,8 @@ def solve_projected_descent(cfg: SystemConfig, budget: JammerBudget) -> SolveRes
         solve_asymptotic(cfg).as_vector(),
         rng.dirichlet(np.ones(k + 1)),
     ]
-    z, _, iters = min((_descend(z0, cfg, budget) for z0 in starts), key=lambda end: end[1])
-    return _build_result(cfg, budget, _sys(cfg, budget), z, METHOD_DESCENT, iters)
+    z, _, iters = min((_descend(z0, sys) for z0 in starts), key=lambda end: end[1])
+    return _build_result(sys, z, METHOD_DESCENT, iters)
 
 
 def check_corollary_orderings(result: SolveResult, cfg: SystemConfig) -> list[OrderingVerdict]:

@@ -1,6 +1,7 @@
 import math
 import re
 import tracemalloc
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -131,7 +132,7 @@ def _reference_solve_kkt(cfg, budget):
     if best is None:
         raise mj.SolverError("no candidate free set passed the sign checks", math.inf)
     _, z, nu = best
-    result = opt._build_result(cfg, budget, sys, z, opt.METHOD_KKT, tried, nu=nu)
+    result = opt._build_result(sys, z, opt.METHOD_KKT, tried, nu=nu)
     if result.kkt_residual > opt.CERT_TOL:
         raise mj.SolverError("no candidate free set certifies the optimum", result.kkt_residual)
     return result, order, accepted
@@ -150,15 +151,38 @@ def _hex_fields(res):
     )
 
 
+def _transition_budgets(cfg):
+    """Budgets a relative 1e-9 either side of each energy at which, with the
+    data ratio pinned, the next user's pilot window switches on: with the
+    users sorted by threshold ``x / w`` and ``W_m``, ``X_m`` the sums of ``w``
+    and ``x`` over the first ``m``, that is ``E_m = (x/w)_{m+1} W_m - X_m``."""
+    pt, pd, tt = cfg.train_power_vec(), cfg.data_power_vec(), cfg.train_len_vec()
+    w, x = tt * np.sqrt(pd * pt), tt * (1.0 + pt * tt)
+    thr = np.where(w > 0.0, x / np.where(w > 0.0, w, 1.0), math.inf)
+    order = np.argsort(thr, kind="stable")
+    energies = thr[order][1:] * np.cumsum(w[order])[:-1] - np.cumsum(x[order])[:-1]
+    return [
+        mj.JammerBudget(float(e) * f / cfg.block_len)
+        for e in energies
+        if 0.0 < e < math.inf
+        for f in (1.0 - 1e-9, 1.0 + 1e-9)
+    ]
+
+
 def test_screen_keeps_every_exact_candidate_and_every_bit():
     rng = np.random.default_rng(2718)
     ks = (1, 2, 4, 8, 16, 32)
+    cases = []
     for i in range(300):
         cfg = random_config(rng, k=ks[i % len(ks)], p_lo=1e-3, p_hi=1e8)
         if i % 10 == 9:
             silent = replace(cfg.users[0], data_power=0.0)
             cfg = mj.SystemConfig(cfg.block_len, (silent,) + cfg.users[1:])
-        budget = random_budget(rng, -40.0, 100.0)
+        cases.append((cfg, random_budget(rng, -40.0, 100.0)))
+        if i % 25 == 0:
+            # Where the active set changes, the screen's slack is pressed hardest.
+            cases += [(cfg, budget) for budget in _transition_budgets(cfg)]
+    for cfg, budget in cases:
         try:
             ref, order, accepted = _reference_solve_kkt(cfg, budget)
         except mj.SolverError as exc:
@@ -169,6 +193,19 @@ def test_screen_keeps_every_exact_candidate_and_every_bit():
         assert _hex_fields(mj.solve_kkt(cfg, budget)) == _hex_fields(ref)
         _, passed = opt._screen_active_sets(opt._sys(cfg, budget), order)
         assert set(accepted) <= set(np.flatnonzero(passed).tolist())
+
+
+def test_solve_certifies_with_subnormal_data_power():
+    # The first user's data power is subnormal, so its threshold x / w is about
+    # 1e155-1e162 and its square overflows a float; no step may overflow.
+    for tiny in (5e-324, 1e-310):
+        users = (mj.UserParams(10.0, tiny, 1), mj.UserParams(3.0, 20.0, 2), mj.UserParams(40.0, 0.5, 1))
+        cfg = mj.SystemConfig(60, users)
+        for power in (1e-4, 1.0, 1e6, 1e100):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                res = mj.solve(cfg, mj.JammerBudget(power))
+            assert res.kkt_residual <= opt.CERT_TOL, (tiny, power)
 
 
 def test_solve_zero_budget_is_flat_uniform():
@@ -415,7 +452,7 @@ def test_descent_from_optimum_stops_immediately():
     cfg = two_users((10.0, 20.0), (30.0, 10.0), (1, 2))
     budget = mj.JammerBudget(25.0)
     kkt = mj.solve_kkt(cfg, budget)
-    _, _, iterations = opt._descend(kkt.alloc.as_vector(), cfg, budget)
+    _, _, iterations = opt._descend(kkt.alloc.as_vector(), opt._sys(cfg, budget))
     assert iterations <= 2
 
 
