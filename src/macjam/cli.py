@@ -23,6 +23,7 @@ from .scenario import (
     ScenarioSpec,
     _as_float,
     _check_keys,
+    _load_yaml,
     db_to_linear,
     load_scenario,
     sweep_db_values,
@@ -242,10 +243,7 @@ def _cmd_optimize(args) -> int:
 
 
 def _load_alloc_file(path: str, cfg: SystemConfig) -> JammerAllocation:
-    try:
-        raw = yaml.safe_load(Path(path).read_text())
-    except yaml.YAMLError as exc:
-        raise ScenarioError(f"{path}: parse error: {exc}") from exc
+    raw = _load_yaml(Path(path).read_text(), path)
     _check_keys(_ResultFile, raw, f"allocation file {path}", required=("zeta_t", "zeta_d"))
     if not isinstance(raw["zeta_t"], list):
         raise ScenarioError(f"{path}: zeta_t must be a list of numbers, got {raw['zeta_t']!r}")

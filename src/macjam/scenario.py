@@ -182,13 +182,18 @@ def _check_output(stem) -> str:
     return stem
 
 
-def parse_scenario(text: str, source: str = "<string>") -> ScenarioSpec:
+def _load_yaml(text: str, source: str):
+    """``yaml.safe_load`` of ``text``; any parse failure is a ``ScenarioError`` naming ``source``."""
     try:
-        raw = yaml.safe_load(text)
+        return yaml.safe_load(text)
     except (yaml.YAMLError, ValueError) as exc:
         # ValueError: a scalar the YAML syntax accepts but Python cannot hold,
         # such as an integer beyond the interpreter's digit limit.
         raise ScenarioError(f"{source}: parse error: {exc}") from exc
+
+
+def parse_scenario(text: str, source: str = "<string>") -> ScenarioSpec:
+    raw = _load_yaml(text, source)
     _check_keys(ScenarioSpec, raw, source, required=_names(ScenarioSpec))
     block_len = _as_int(raw["block_len"], "block_len")
     if not isinstance(raw["users"], list) or not raw["users"]:

@@ -231,6 +231,8 @@ def test_rates_rejects_non_simplex_allocation_file(tmp_path, capsys):
         {"zeta_t": [0.4, 0.4], "zeta_d": 0.2, "extra": 1},
         {"zeta_t": [0.5], "zeta_d": 0.5},  # one ratio for two users
         {"zeta_t": [0.4, 0.4], "rho_star": 0.1},  # zeta_d missing
+        # An integer beyond the interpreter's digit limit: not a YAMLError.
+        pytest.param("zeta_t: [0.4, 0.4]\nzeta_d: " + "1" * 5001 + "\n", id="digit_limit"),
     ],
 )
 def test_rates_rejects_malformed_allocation_file(tmp_path, capsys, alloc):
@@ -240,7 +242,7 @@ def test_rates_rejects_malformed_allocation_file(tmp_path, capsys, alloc):
     alloc_file.write_text(alloc if isinstance(alloc, str) else yaml.safe_dump(alloc))
     assert main(["rates", str(path), "--alloc", f"file:{alloc_file}"]) == 2
     err = capsys.readouterr().err
-    assert any(line.startswith("error:") for line in err.splitlines())
+    assert any(line.startswith("error:") and str(alloc_file) in line for line in err.splitlines())
 
 
 def test_rates_near_zero_data_power_reports_zero(tmp_path, capsys):

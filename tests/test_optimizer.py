@@ -97,13 +97,28 @@ def test_solve_kkt_data_free_with_tiny_pinned_data_power():
         assert res.kkt_residual <= 1e-10
 
 
+def _sign_checked(sys, z, free):
+    """Exact sign checks for a restricted solve; returns ``(nu, lambdas)`` or None."""
+    if (z[free] <= 0.0).any():
+        return None
+    g_all = opt._grad_z(sys, z)
+    nu = float(-(g_all[free]).mean())
+    lam = g_all + nu
+    if float(lam[~free].min(initial=math.inf)) < -1e-9 * (1.0 + abs(nu)):
+        return None
+    return nu, lam
+
+
 def _reference_solve_kkt(cfg, budget):
     """``solve_kkt`` with every candidate free set solved and checked exactly.
 
-    The loop the vectorized screen replaced.  Returns the result, the users
-    in threshold order, and the rows (``2m - 1`` data pinned, ``2m`` data
-    free, for the first ``m`` users in that order) that pass the exact sign
-    checks.
+    No screen, and a stricter acceptance rule than ``solve_kkt``'s
+    certificate alone: exact sign checks (:func:`_sign_checked`), then the
+    smallest raw residual, then the certificate of that one candidate, so
+    equal results show that the two rules agree.  Returns the result, the
+    users in threshold order, and the rows (``2m - 1`` data pinned, ``2m``
+    data free, for the first ``m`` users in that order) that pass the exact
+    sign checks.
     """
     sys = opt._sys(cfg, budget)
     w = sys.w
@@ -121,7 +136,7 @@ def _reference_solve_kkt(cfg, budget):
             if z is None:
                 continue
             tried += 1
-            checked = opt._validate_candidate(sys, z, free)
+            checked = _sign_checked(sys, z, free)
             if checked is None:
                 continue
             accepted.append(2 * m - (not free_d))
@@ -130,7 +145,7 @@ def _reference_solve_kkt(cfg, budget):
             if best is None or residual < best[0]:
                 best = (residual, z, nu)
     if best is None:
-        raise mj.SolverError("no candidate free set passed the sign checks", math.inf)
+        raise mj.SolverError("no candidate free set certifies the optimum", math.inf)
     _, z, nu = best
     result = opt._build_result(sys, z, opt.METHOD_KKT, tried, nu=nu)
     if result.kkt_residual > opt.CERT_TOL:
@@ -459,6 +474,8 @@ def test_descent_from_optimum_stops_immediately():
 FLAT_CASES = {
     "zero_budget": (two_users((10.0, 20.0), (30.0, 10.0), (1, 2)), 0.0),
     "all_silent": (two_users((10.0, 20.0), (0.0, 0.0), (1, 2)), 5.0),
+    # Every pd * pt underflows, so every w is 0 and rho is 0 everywhere, with S > 0.
+    "data_power_underflows": (two_users((0.1, 0.2), (5e-324, 5e-324), (1, 2)), 5.0),
 }
 SOLVERS = {
     "solve": mj.solve,
