@@ -1,11 +1,12 @@
 #!/usr/bin/env python3
-"""Locate the jamming powers at which each energy ratio becomes positive.
+"""Print the jamming power above which each energy ratio is positive.
 
-Solver-only (no Monte Carlo), so it runs a much finer power grid than the
-bundled sweeps.  Also prints the analytic data-phase threshold
-P_w = (T_d (1 + sum P_d) - T_t - delta) / T for comparison with the solver.
+The thresholds come from the solver's water-filling path
+(``macjam.activation_powers``), in the order the ratios switch on.
+Usage: ``activation_thresholds.py [scenario]`` (default: the bundled fig2).
 """
 
+import math
 import sys
 
 import numpy as np
@@ -15,30 +16,15 @@ import macjam as mj
 
 def main() -> int:
     scenario = sys.argv[1] if len(sys.argv) > 1 else mj.bundled_scenario_path("fig2.scenario")
-    spec = mj.load_scenario(scenario)
-    cfg = mj.to_system_config(spec)
-    k = cfg.n_users
-
-    pt, pd, tt = cfg.train_power_vec(), cfg.data_power_vec(), cfg.train_len_vec()
-    delta = float((pt * tt**2).sum())
-    analytic_db = mj.linear_to_db(
-        (cfg.data_len * (1.0 + pd.sum()) - tt.sum() - delta) / cfg.block_len
-    )
-
-    grid = np.arange(-20.0, 40.0 + 1e-9, 0.125)
-    first_on = {}
-    for pw_db in grid:
-        res = mj.solve(cfg, mj.JammerBudget(mj.db_to_linear(float(pw_db))))
-        ratios = list(res.alloc.zeta_t) + [res.alloc.zeta_d]
-        for idx, z in enumerate(ratios):
-            if z > 1e-9 and idx not in first_on:
-                first_on[idx] = pw_db
-
-    for idx in range(k + 1):
-        name = f"zeta_t[{idx + 1}]" if idx < k else "zeta_d"
-        where = first_on.get(idx)
-        print(f"{name}: first positive at {where:g} dB" if where is not None else f"{name}: never active on this grid")
-    print(f"analytic data-phase threshold: {analytic_db:.3f} dB")
+    cfg = mj.to_system_config(mj.load_scenario(scenario))
+    powers = mj.activation_powers(cfg)
+    for idx in np.argsort(powers, kind="stable"):
+        name = f"zeta_t[{idx + 1}]" if idx < cfg.n_users else "zeta_d"
+        if powers[idx] == math.inf:
+            print(f"{name}: never positive")
+        else:
+            pw_db = mj.linear_to_db(powers[idx]) if powers[idx] > 0.0 else -math.inf
+            print(f"{name}: positive above {pw_db:.10f} dB")
     return 0
 
 

@@ -25,6 +25,7 @@ from .optimizer import (
     OrderingVerdict,
     SolveResult,
     SolverError,
+    activation_powers,
     check_corollary_orderings,
     evaluate_kkt,
     rho_gradient,

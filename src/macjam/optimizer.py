@@ -4,19 +4,25 @@ The jammer minimizes the objective scalar rho over the simplex of energy
 ratios (one per user's training window, one for the data phase).  On any
 fixed set of free (nonzero) ratios the stationarity equations collapse to one
 scalar: every free training ratio is set by a single proportionality
-constant, which solves a linear equation when the data ratio is pinned at
-zero and a quadratic when it is free.  A training ratio is free iff that
-constant exceeds the user's budget-independent threshold, so the free
-training set is a prefix of the users sorted by threshold: water-filling.
-The primary solver screens these 2K+1 candidate free sets by that rule, one
-scalar check per candidate on vectors of length 2K+1: the constant against
-the last free user's threshold and the first pinned user's, plus the data
-coordinate's signs, each relaxed by a small slack.  Only the survivors
-(usually one) are solved again exactly and built, and the one with the
-smallest KKT certificate wins, so the certificate is the one acceptance test
-and the returned points carry machine-precision certificates.  So a solve
-costs a fixed number of NumPy calls plus one exact solve per survivor,
-whatever K.
+constant cp, which solves a linear equation when the data ratio is pinned at
+zero and a quadratic when it is free.  A training ratio is free iff cp
+exceeds the user's budget-independent threshold r_k = x_k / w_k, so the free
+set follows a water-filling path in the energy E = P_w T: as E grows the
+users switch on in threshold order and the data phase switches on once.
+
+Why the path is nested.  With the first m users free, E = cp W_m - X_m while
+the data ratio is pinned and E = A2_m cp^2 + 2 W_m cp - c0 - X_m once it is
+free (W_m, X_m the sums of w and x over the free users, A2_m the sum of the
+pinned users' alpha at zero jamming, c0 = T_d (1 + S)).  E increases with cp
+in both regimes, and the formulas for m and m + 1 free users agree at
+cp = r_{m+1} because r_k w_k = x_k and alpha0_k r_k^2 = x_k.  The data ratio
+is (A2_m cp^2 + W_m cp - c0) / E, which rises with cp and is continuous at
+user events.  So cp rises with E, and a ratio that is positive stays
+positive: the path has at most K + 1 rows, each starting where one more
+coordinate switches on (:func:`_path`).  The primary solver solves exactly
+only the rows whose energy interval meets a relative ``PATH_WINDOW`` around
+E (usually one), and the one with the smallest KKT certificate wins, so the
+certificate is the one acceptance test.
 
 Independent cross-checks: a closed-form interior solution valid at high
 jamming power, the infinite-power limit, a brute-force simplex-grid oracle,
@@ -48,6 +54,7 @@ __all__ = [
     "rho_gradient",
     "evaluate_kkt",
     "solve_kkt",
+    "activation_powers",
     "solve_closed_form",
     "solve_asymptotic",
     "solve",
@@ -65,17 +72,10 @@ CERT_TOL = 1e-10
 # terms of its size, which overflow a float from about 1e154.
 MAX_ENERGY = 1e120
 
-# Relative slack of the sign checks in the screen (_screen_active_sets).  The
-# screen rounds differently from the exact solve, so a candidate whose
-# allocation certifies may read slightly negative there; the slack lets it
-# through, and the certificate alone decides.  A larger slack only sends more
-# candidates to the exact solve.  Over the 14,400 solve-wide benchmark inputs
-# of seeds 1-30 the two differ by at most 1.2e-8 of the slack's scale, and
-# with this slack 97.7% of the solves send one candidate to the exact solve.
-# The dual checks also keep an absolute 1e-9 term: the certificate bounds
-# each multiplier in absolute terms, so where the gradient is tiny a
-# certifying candidate can read below a purely relative bound.
-SCREEN_SLACK = 1e-4
+# Relative half-width of the energy window in which solve_kkt solves the path's
+# rows: rounding in the breakpoints must not hide the row an energy at (or
+# next to) a breakpoint needs.  A wider window only solves more rows.
+PATH_WINDOW = 1e-6
 
 # Fixed settings of the two reference solvers (oracle, projected descent).
 ORACLE_MAX_GRID_POINTS = 2_000_000  # larger grids switch to Dirichlet sampling
@@ -116,6 +116,9 @@ class SolveResult:
     ``lambdas`` holds the nonnegativity multipliers, training coordinates
     first and the data coordinate last; ``active_set`` lists the coordinate
     indices pinned at zero in the same indexing (index K is the data phase).
+    ``iterations`` is, per method: the path rows solved (KKT), 0 (closed
+    form), the polish sweeps (oracle) and the descent steps (projected
+    descent).
     """
 
     alloc: JammerAllocation
@@ -276,57 +279,50 @@ def _refine_active_set(sys: _Sys, free: np.ndarray):
     return z
 
 
-def _screen_active_sets(sys: _Sys, order: np.ndarray):
-    """Every candidate free set at once, screened by the water-filling rule.
+def _path(sys: _Sys):
+    """The water-filling path of the free set in the energy E = P_w T.
 
-    Row ``2m - 1`` frees the first ``m`` users of ``order`` with the data
-    ratio pinned, row ``2m`` also the data ratio: the order in which
-    :func:`solve_kkt` solves them exactly.  On a row every free
-    training denominator is ``cp w_k``, so every free training gradient is
-    ``-C / cp^2`` and a pinned user's ``-C (w_k / x_k)^2``.  With ``w / x``
-    falling along ``order``, ``cp`` against the last free and the first
-    pinned user's ``w / x`` decides the training signs; the data coordinate
-    adds one check of each kind.  Each check allows ``SCREEN_SLACK`` times
-    the size of the terms its value is a difference of.  Returns
-    ``(solvable, passed)``, two row masks: the rows whose free set has a
-    solution, and those among them that pass.
+    Sorts the users by threshold ``r = x / w``; users with ``w = 0`` come last
+    and are never freed.  Returns ``(coords, starts, rows)``: path row ``i``
+    frees the coordinates ``coords[: i + 1]`` (index K is the data phase) for
+    E from ``starts[i]`` to ``starts[i + 1]``, and ``rows`` are the rows whose
+    interval meets ``[E (1 - PATH_WINDOW), E (1 + PATH_WINDOW)]`` at the
+    energy of ``sys``.  The first row starts at E = 0 and frees the first
+    user, or the data phase where no user is free at E = 0+.
     """
-    pt, pd, tt, w, x = (v[order] for v in (sys.pt, sys.pd, sys.tt, sys.w, sys.x))
-    k, energy, td = w.size, sys.energy, sys.Td
-    rows = np.arange(2 * k + 1)
-    m = (rows + 1) // 2
-    free_d = rows % 2 == 0
-    w_free, x_free, pd_free = (np.concatenate(((0.0,), v.cumsum()))[m] for v in (w, x, pd))
-    # The pinned users' alpha and beta at zero jamming, summed from the last user.
-    pilot = 1.0 + pt * tt
-    pinned = (pd * (pt * tt) / pilot, pd / pilot)
-    a2, b2 = (np.concatenate((v[::-1].cumsum()[::-1], (0.0,)))[m] for v in pinned)
-    # The proportionality constant cp = num / den: the positive root of the
-    # quadratic with the data ratio free, (energy + x_free) / w_free without.
-    rhs = energy + td * (1.0 + sys.S) + x_free
-    den = np.where(free_d, w_free + np.sqrt(w_free * w_free + a2 * rhs), w_free)
-    solvable = den > 0.0
-    cp = np.where(free_d, rhs, energy + x_free) / np.where(solvable, den, 1.0)
-    # The inverse thresholds w / x (0 if silent) of the last free and first pinned user.
-    inv_thr = w / x
-    last_free, first_pinned = inv_thr[np.maximum(m - 1, 0)], inv_thr[np.minimum(m, k - 1)]
-    # Energy times the data ratio; its slack scales with the terms it is a difference of.
-    u_d = energy + x_free - cp * w_free
-    primal = (m == 0) | (cp * last_free - 1.0 > -SCREEN_SLACK * (cp * last_free + 1.0))
-    primal &= ~free_d | (u_d > -SCREEN_SLACK * (energy + 2.0 * td + x_free + cp * w_free))
-    # The gradient's scalars at the data ratio clipped to 0; the free alphas sum to w_free / cp.
-    d_d = td + np.where(free_d, np.maximum(u_d, 0.0), 0.0)
-    gamma = td / d_d
-    e_sq = (1.0 + gamma * (pd_free - w_free / cp + b2)) ** 2
-    c = energy * gamma * (1.0 + gamma * sys.S) / e_sq
-    g_d = -energy * td * (w_free / cp + a2) / (d_d**2 * e_sq)
-    # Row r has r // 2 + 1 free coordinates; m of them are training ratios.
-    nu = (m * c / cp / cp - np.where(free_d, g_d, 0.0)) / (rows // 2 + 1)
-    # The most negative pinned training gradient, the first pinned user's, and the data's.
-    g = np.stack((-c * first_pinned**2, g_d))
-    signed = g + nu >= -1e-9 - (1e-9 + SCREEN_SLACK) * np.abs(nu) - SCREEN_SLACK * np.abs(g)
-    dual = ((m == k) | signed[0]) & (free_d | signed[1])
-    return solvable, solvable & primal & dual
+    live = sys.w > 0.0
+    thr = np.where(live, sys.x / np.where(live, sys.w, 1.0), math.inf)
+    order = np.argsort(thr, kind="stable")
+    pt_tt = sys.pt * sys.tt
+    # A2_m, the pinned users' alpha at zero jamming, summed from the last user.
+    a2 = np.append((sys.pd * pt_tt / (1.0 + pt_tt))[order][::-1].cumsum()[::-1], 0.0)
+    order = order[: int(live.sum())]
+    r = thr[order]
+    w_cum, x_cum = (np.concatenate(((0.0,), v[order].cumsum())) for v in (sys.w, sys.x))
+    w_m, x_m = w_cum[:-1], x_cum[:-1]
+    c0 = sys.Td * (1.0 + sys.S)
+    # A2_m r^2 for user m + 1's r: every pinned r_k >= r, so it is at most sum x
+    # where r * r alone can overflow.
+    quad = (a2[: r.size] * r) * r
+    # The data ratio at cp = r has the sign of A2_m r^2 + W_m r - c0, so the data
+    # phase switches on with the first m users free where that is >= 0.
+    m = int(np.argmax(np.append(quad + w_m * r >= c0, True)))
+    # The energy at which user m + 1 switches on, with the data ratio pinned
+    # before the data event and free after it.
+    user_on = np.where(np.arange(r.size) < m, r * w_m - x_m, quad + 2.0 * w_m * r - c0 - x_m)
+    data_on = 0.0
+    if m:
+        w_d, x_d = float(w_cum[m]), float(x_cum[m])
+        # The positive root of A2 cp^2 + W cp = c0, without cancellation.
+        data_on = 2.0 * c0 / (w_d + math.sqrt(w_d * w_d + 4.0 * float(a2[m]) * c0)) * w_d - x_d
+    starts = np.concatenate((user_on[:m], (data_on,), user_on[m:]))
+    coords = np.concatenate((order[:m], (sys.w.size,), order[m:]))
+    ends = np.append(starts[1:], math.inf)
+    rows = range(
+        int(np.searchsorted(ends, sys.energy * (1.0 - PATH_WINDOW))),
+        int(np.searchsorted(starts, sys.energy * (1.0 + PATH_WINDOW), side="right")),
+    )
+    return coords, starts, rows
 
 
 def _flat_result(cfg: SystemConfig, sys: _Sys, method: str) -> SolveResult:
@@ -369,46 +365,55 @@ def _build_result(sys: _Sys, z: np.ndarray, method: str, iterations: int, nu: fl
 
 
 def solve_kkt(cfg: SystemConfig, budget: JammerBudget) -> SolveResult:
-    """Primary solver: exact solves on the 2K+1 candidate free sets.
+    """Primary solver: exact solves on the free sets of the water-filling path.
 
     Free training ratios share one proportionality constant, so a ratio is
-    positive iff that constant exceeds ``(1 + pt tt) / sqrt(pd pt)``; the free
-    set is therefore a prefix of the users sorted by that threshold, leaving
-    2K+1 candidates (the empty set is excluded).  One vectorized pass,
-    :func:`_screen_active_sets`, checks all of them by that rule with a slack
-    (``SCREEN_SLACK``) that only admits extra candidates.  The survivors are
-    solved exactly, in order of the number of free users, data pinned first;
-    each whose free ratios are all positive is built with its own ``nu`` and
-    certified, and the one with the smallest certificate, the first of equal
-    ones, is returned, with ``iterations`` counting the candidates that have
-    a solution.  A flat objective returns :func:`_flat_result`.  Raises
-    :class:`SolverError` when no candidate certifies to ``CERT_TOL``.
+    positive iff that constant exceeds ``(1 + pt tt) / sqrt(pd pt)``, and as
+    the energy grows the free set runs through at most K + 1 nested rows
+    (:func:`_path`).  Each row whose energy interval meets a relative
+    ``PATH_WINDOW`` around the budget's energy (usually one) is solved
+    exactly, in path order; each whose free ratios are all positive is built
+    with its own ``nu`` and certified, and the one with the smallest
+    certificate, the first of equal ones, is returned, with ``iterations``
+    counting the rows solved.  A flat objective returns :func:`_flat_result`.
+    Raises :class:`SolverError` when no row certifies to ``CERT_TOL``.
     """
     sys = _sys(cfg, budget)
     if _flat(sys):
         return _flat_result(cfg, sys, METHOD_KKT)
-    w = sys.w
-    ratio = np.where(w > 0.0, sys.x / np.where(w > 0.0, w, 1.0), math.inf)
-    order = np.argsort(ratio, kind="stable")
-    solvable, passed = _screen_active_sets(sys, order)
-    tried = int(solvable.sum())
+    coords, _, rows = _path(sys)
     best = None
-    for row in np.flatnonzero(passed):
-        free = np.zeros(w.size + 1, dtype=bool)
-        free[order[: (row + 1) // 2]] = True
-        free[-1] = row % 2 == 0
+    for row in rows:
+        free = np.zeros(sys.w.size + 1, dtype=bool)
+        free[coords[: row + 1]] = True
         z = _refine_active_set(sys, free)
         # A free ratio must be positive, and at a negative one the gradient can be NaN.
         if z is None or (z[free] <= 0.0).any():
             continue
         nu = float(-(_grad_z(sys, z)[free]).mean())
-        result = _build_result(sys, z, METHOD_KKT, tried, nu=nu)
+        result = _build_result(sys, z, METHOD_KKT, len(rows), nu=nu)
         if best is None or result.kkt_residual < best.kkt_residual:
             best = result
     residual = math.inf if best is None else best.kkt_residual
     if residual > CERT_TOL:
         raise SolverError("no candidate free set certifies the optimum", residual)
     return best
+
+
+def activation_powers(cfg: SystemConfig) -> np.ndarray:
+    """The jamming power ``P_w`` above which each energy ratio is positive.
+
+    Read off the water-filling path (:func:`_path`), which does not depend on
+    the budget: one value per training window, the data phase last.  The
+    coordinate free at E = 0+ (the first user in threshold order, or the data
+    phase where no user is) gets 0, and users with ``w = tt sqrt(pd pt) = 0``,
+    never freed, get ``inf``.
+    """
+    sys = _sys(cfg, JammerBudget(0.0))
+    coords, starts, _ = _path(sys)
+    out = np.full(cfg.n_users + 1, math.inf)
+    out[coords] = starts / sys.T
+    return out
 
 
 def solve_closed_form(cfg: SystemConfig, budget: JammerBudget) -> SolveResult | None:

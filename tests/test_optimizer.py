@@ -115,16 +115,14 @@ def _reference_solve_kkt(cfg, budget):
     No screen, and a stricter acceptance rule than ``solve_kkt``'s
     certificate alone: exact sign checks (:func:`_sign_checked`), then the
     smallest raw residual, then the certificate of that one candidate, so
-    equal results show that the two rules agree.  Returns the result, the
-    users in threshold order, and the rows (``2m - 1`` data pinned, ``2m``
-    data free, for the first ``m`` users in that order) that pass the exact
-    sign checks.
+    equal results show that the two rules agree.  Returns the result and
+    the free coordinates of the row it picks (data last).
     """
     sys = opt._sys(cfg, budget)
     w = sys.w
     ratio = np.where(w > 0.0, sys.x / np.where(w > 0.0, w, 1.0), math.inf)
     order = np.argsort(ratio, kind="stable")
-    best, tried, accepted = None, 0, []
+    best, tried = None, 0
     for m in range(w.size + 1):
         for free_d in (False, True):
             if m == 0 and not free_d:
@@ -139,21 +137,21 @@ def _reference_solve_kkt(cfg, budget):
             checked = _sign_checked(sys, z, free)
             if checked is None:
                 continue
-            accepted.append(2 * m - (not free_d))
             nu = checked[0]
             residual, _ = mj.evaluate_kkt(z[:-1], z[-1], nu, cfg, budget)
             if best is None or residual < best[0]:
-                best = (residual, z, nu)
+                best = (residual, z, nu, tuple(np.flatnonzero(free).tolist()))
     if best is None:
         raise mj.SolverError("no candidate free set certifies the optimum", math.inf)
-    _, z, nu = best
+    _, z, nu, row = best
     result = opt._build_result(sys, z, opt.METHOD_KKT, tried, nu=nu)
     if result.kkt_residual > opt.CERT_TOL:
         raise mj.SolverError("no candidate free set certifies the optimum", result.kkt_residual)
-    return result, order, accepted
+    return result, row
 
 
 def _hex_fields(res):
+    """Every field of a result but ``iterations``, floats as ``float.hex``."""
     return (
         tuple(float.hex(v) for v in res.alloc.as_vector()),
         float.hex(res.rho_star),
@@ -162,7 +160,6 @@ def _hex_fields(res):
         res.active_set,
         res.method,
         float.hex(res.kkt_residual),
-        res.iterations,
     )
 
 
@@ -184,7 +181,7 @@ def _transition_budgets(cfg):
     ]
 
 
-def test_screen_keeps_every_exact_candidate_and_every_bit():
+def test_path_keeps_the_reference_row_and_every_bit():
     rng = np.random.default_rng(2718)
     ks = (1, 2, 4, 8, 16, 32)
     cases = []
@@ -195,19 +192,50 @@ def test_screen_keeps_every_exact_candidate_and_every_bit():
             cfg = mj.SystemConfig(cfg.block_len, (silent,) + cfg.users[1:])
         cases.append((cfg, random_budget(rng, -40.0, 100.0)))
         if i % 25 == 0:
-            # Where the active set changes, the screen's slack is pressed hardest.
+            # Where the active set changes, the path's window is pressed hardest.
             cases += [(cfg, budget) for budget in _transition_budgets(cfg)]
     for cfg, budget in cases:
         try:
-            ref, order, accepted = _reference_solve_kkt(cfg, budget)
+            ref, row = _reference_solve_kkt(cfg, budget)
         except mj.SolverError as exc:
             with pytest.raises(mj.SolverError) as got:
                 mj.solve_kkt(cfg, budget)
             assert str(got.value) == str(exc)
             continue
         assert _hex_fields(mj.solve_kkt(cfg, budget)) == _hex_fields(ref)
-        _, passed = opt._screen_active_sets(opt._sys(cfg, budget), order)
-        assert set(accepted) <= set(np.flatnonzero(passed).tolist())
+        coords, _, rows = opt._path(opt._sys(cfg, budget))
+        assert row in [tuple(sorted(coords[: i + 1].tolist())) for i in rows]
+
+
+def test_solve_certifies_a_tiny_budget_with_one_user_free():
+    # At -150.71 dB the data-free row with no user free rounds to a point that
+    # sums to 1 + 1e-6, past JammerAllocation's tolerance; the optimum frees
+    # the first user only and certifies with residual 0.
+    users = (
+        mj.UserParams(float.fromhex("0x1.92847d500278ep+8"), float.fromhex("0x1.162bba6ba3a4bp+10"), 1),
+        mj.UserParams(float.fromhex("0x1.28f05cc3d8173p+20"), float.fromhex("0x1.7ab793c4550c2p+0"), 3),
+    )
+    res = mj.solve(mj.SystemConfig(67, users), mj.JammerBudget(float.fromhex("0x1.e912fab1bbef5p-51")))
+    assert res.kkt_residual <= opt.CERT_TOL
+    assert res.active_set == (1, 2)
+
+
+def test_activation_powers_bracket_each_switch():
+    rng = np.random.default_rng(31)
+    for i in range(12):
+        cfg = random_config(rng, k=(1, 3, 8)[i % 3], p_lo=1e-3, p_hi=1e8)
+        if i % 4 == 3:
+            silent = replace(cfg.users[0], data_power=0.0)
+            cfg = mj.SystemConfig(cfg.block_len, (silent,) + cfg.users[1:])
+        powers = mj.activation_powers(cfg)
+        # One coordinate is free from E = 0; a user with w = 0 is never freed.
+        assert min(powers) == 0.0 and (i % 4 != 3 or powers[0] == math.inf)
+        for idx, pw in enumerate(powers):
+            if 0.0 < pw < math.inf:
+                below, above = (
+                    mj.solve(cfg, mj.JammerBudget(pw * f)).alloc.as_vector()[idx] for f in (1 - 1e-6, 1 + 1e-6)
+                )
+                assert below == 0.0 and above > 0.0, (i, idx)
 
 
 def test_solve_certifies_with_subnormal_data_power():
@@ -577,7 +605,8 @@ def test_ordering_reversal_in_low_energy_regime():
     assert high.alloc.zeta_t[0] >= high.alloc.zeta_t[1]
 
 
-def test_activation_monotone_and_in_budget_order(fig_sweep_rows):
+def test_activation_monotone_and_in_budget_order(fig_setup, fig_sweep_rows):
+    powers = mj.activation_powers(fig_setup[1])
     active_prev = None
     for row in fig_sweep_rows:
         active = [z > 1e-9 for z in row.zeta_t]
@@ -591,6 +620,9 @@ def test_activation_monotone_and_in_budget_order(fig_sweep_rows):
                     f"training ratio {k} deactivated at {row.pw_db} dB"
                 )
         active_prev = active
+        # Each ratio is positive at exactly the grid points above its exact threshold.
+        pw = mj.db_to_linear(row.pw_db)
+        assert [z > 0.0 for z in row.zeta_t + (row.zeta_d,)] == [pw > p for p in powers], row.pw_db
 
 
 def test_optimal_never_worse_than_uniform(fig_setup, fig_sweep_rows):
