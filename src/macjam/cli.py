@@ -16,7 +16,7 @@ from typing import get_type_hints
 import yaml
 
 from .model import JammerAllocation, JammerBudget, SystemConfig, uniform_allocation
-from .optimizer import SolveResult, SolverError, _energy, solve, solve_kkt, solve_oracle
+from .optimizer import SolveResult, SolverError, _energy, activation_powers, solve, solve_kkt, solve_oracle
 from .rates import MonteCarloSettings, RateReport, _check_count, draw_samples, rate_report
 from .scenario import (
     ScenarioError,
@@ -25,6 +25,7 @@ from .scenario import (
     _check_keys,
     _load_yaml,
     db_to_linear,
+    linear_to_db,
     load_scenario,
     sweep_db_values,
     to_system_config,
@@ -188,6 +189,18 @@ def write_plot_script(stem: str, n_users: int, path: Path) -> None:
     path.write_text(text)
 
 
+def _print_activation(cfg: SystemConfig) -> None:
+    """The P_w above which each energy ratio is positive, in switch-on order."""
+    powers = activation_powers(cfg)
+    for idx in sorted(range(len(powers)), key=powers.__getitem__):
+        name = f"zeta_t[{idx + 1}]" if idx < cfg.n_users else "zeta_d"
+        if powers[idx] == math.inf:
+            print(f"activation: {name} never positive")
+        else:
+            pw_db = linear_to_db(powers[idx]) if powers[idx] > 0.0 else -math.inf
+            print(f"activation: {name} positive above {pw_db:.10f} dB")
+
+
 def _print_result(result: SolveResult) -> None:
     names = [f"zeta_t[{k + 1}]" for k in range(result.alloc.n_users)] + ["zeta_d"]
     print(f"method: {result.method}")
@@ -227,6 +240,7 @@ class _ResultFile:
 def _cmd_optimize(args) -> int:
     _, cfg, pw_db, budget = _load_point(args)
     print(f"P_w = {pw_db:g} dB")
+    _print_activation(cfg)
     result = solve(cfg, budget)
     _print_result(result)
     if args.out:

@@ -245,7 +245,12 @@ def _refine_active_set(sys: _Sys, free: np.ndarray):
     collapse to one scalar: every free training denominator is proportional
     to ``tt_k * sqrt(pd_k pt_k)``.  With the data ratio free the constant
     solves a quadratic, otherwise it is linear in the budget.  Returns the
-    point ``z`` or None when the free set admits no solution.
+    point ``z``, which exists on every row of :func:`_path` that
+    :func:`solve_kkt` solves: each row but the data-only one frees a user
+    with ``w > 0``, so ``w_free > 0``, and with some user of ``w > 0`` (the
+    objective is not flat) ``_path`` opens the data-only row only where
+    ``A2_0 r^2 >= c0 > 0``, so ``a2 > 0``.  Either way the divisors below
+    are positive.
     """
     w, x_thr = sys.w, sys.x
     free_t = free[:-1]
@@ -254,8 +259,6 @@ def _refine_active_set(sys: _Sys, free: np.ndarray):
     z = np.zeros(free.size)
     zt = z[:-1]
     if not free[-1]:
-        if w_free <= 0.0:
-            return None
         # Expanded form of (cp * w_k - x_k) / energy with cp = (energy + XA)/WA;
         # the direct form cancels catastrophically when energy << XA.
         zt[free_t] = w[free_t] / w_free + (w[free_t] * x_free - x_thr[free_t] * w_free) / (
@@ -269,10 +272,7 @@ def _refine_active_set(sys: _Sys, free: np.ndarray):
         rhs = sys.energy + sys.Td * (1.0 + sys.S) + x_free
         # Positive root of a2 cp^2 + 2 w_free cp - rhs = 0, without the
         # cancellation of (-w_free + sqrt(...)) / a2 when a2 is small.
-        den = w_free + math.sqrt(w_free * w_free + a2 * rhs)
-        if den <= 0.0:
-            return None
-        cp = rhs / den
+        cp = rhs / (w_free + math.sqrt(w_free * w_free + a2 * rhs))
         d_d = sys.energy + sys.Td + x_free - cp * w_free
         z[-1] = (d_d - sys.Td) / sys.energy
         zt[free_t] = (cp * w[free_t] - x_thr[free_t]) / sys.energy
@@ -388,7 +388,7 @@ def solve_kkt(cfg: SystemConfig, budget: JammerBudget) -> SolveResult:
         free[coords[: row + 1]] = True
         z = _refine_active_set(sys, free)
         # A free ratio must be positive, and at a negative one the gradient can be NaN.
-        if z is None or (z[free] <= 0.0).any():
+        if (z[free] <= 0.0).any():
             continue
         nu = float(-(_grad_z(sys, z)[free]).mean())
         result = _build_result(sys, z, METHOD_KKT, len(rows), nu=nu)
@@ -606,7 +606,15 @@ def _project_simplex(v: np.ndarray) -> np.ndarray:
     u = np.sort(v)[::-1]
     shifted = np.cumsum(u) - 1.0
     idx = np.arange(1, v.size + 1)
-    r = int(idx[u - shifted / idx > 0.0][-1])
+    keep = u - shifted / idx > 0.0
+    if not keep.any():
+        # In exact arithmetic index 1 always qualifies; against entries of
+        # ~1e16 and up rounding loses the 1.  A shift that puts the largest
+        # entry at 0 keeps the projection and makes index 1 qualify exactly
+        # (entries below -1 project to 0: clipping them at -2 keeps them finite).
+        with np.errstate(over="ignore"):
+            return _project_simplex(np.maximum(v - u[0], -2.0))
+    r = int(idx[keep][-1])
     return np.maximum(v - shifted[r - 1] / r, 0.0)
 
 

@@ -1,3 +1,5 @@
+import math
+import re
 import runpy
 import sys
 import types
@@ -127,6 +129,44 @@ def test_optimize_high_power_splits_training_and_data(capsys):
     zd = float(next(l.split("=")[1] for l in out.splitlines() if l.startswith("zeta_d")))
     assert abs(zd - 0.5) < 1e-2
     assert "method: closed_form" in out
+
+
+def test_optimize_prints_the_exact_switch_powers(fig_setup, capsys):
+    assert main(["optimize", fig2_path(), "--pw-db", "10"]) == 0
+    out = capsys.readouterr().out
+    printed = re.findall(r"^activation: (zeta_t\[(\d+)\]|zeta_d) positive above (\S+) dB$", out, re.M)
+    assert [(name, db) for name, _, db in printed] == [
+        ("zeta_t[4]", "-inf"),
+        ("zeta_t[3]", "-11.6474459345"),
+        ("zeta_t[2]", "-4.6087480201"),
+        ("zeta_t[1]", "0.8721206699"),
+        ("zeta_d", "20.7400483368"),
+    ]
+    assert len(re.findall("^activation: ", out, re.M)) == 5
+    _, cfg = fig_setup
+    k = cfg.n_users
+    thresholds = {int(user) - 1 if user else k: float(db) for _, user, db in printed}
+    # fig2's data phase switches on last, where its threshold has a closed form.
+    pt, pd, tt = cfg.train_power_vec(), cfg.data_power_vec(), cfg.train_len_vec()
+    need = cfg.data_len * (1.0 + pd.sum()) - tt.sum() - (pt * tt**2).sum()
+    assert abs(thresholds[k] - mj.linear_to_db(need / cfg.block_len)) <= 1e-9
+    for idx, pw_db in thresholds.items():
+        if pw_db == -math.inf:
+            continue
+        pw = mj.db_to_linear(pw_db)
+        below, above = (mj.solve(cfg, mj.JammerBudget(pw * f)).alloc.as_vector()[idx] for f in (1 - 1e-6, 1 + 1e-6))
+        assert below == 0.0 and above > 0.0, idx
+
+
+def test_optimize_prints_a_silent_user_as_never_positive(tmp_path, capsys):
+    head, _, tail = TWO_USER_POINT.rpartition("data_power_db: 10.0")
+    path = tmp_path / "silent.scenario"
+    path.write_text(head + "data_power_db: -.inf" + tail)
+    assert main(["optimize", str(path)]) == 0
+    lines = [l for l in capsys.readouterr().out.splitlines() if l.startswith("activation: ")]
+    assert lines[0] == "activation: zeta_t[1] positive above -inf dB"
+    assert lines[1].startswith("activation: zeta_d positive above ")
+    assert lines[2] == "activation: zeta_t[2] never positive"
 
 
 def test_optimize_symmetric_users_print_equal_shares(tmp_path, capsys):

@@ -499,6 +499,28 @@ def test_descent_from_optimum_stops_immediately():
     assert iterations <= 2
 
 
+@pytest.mark.parametrize(
+    "v, expected",
+    [
+        ([1e17, -1e17], [1.0, 0.0]),
+        ([1e17, 1e17], [0.5, 0.5]),
+        ([1e17, 1e17 - 16.0, 3.0], [1.0, 0.0, 0.0]),
+        ([1e308, -1e308], [1.0, 0.0]),
+    ],
+)
+def test_simplex_projection_of_huge_entries(v, expected):
+    # At these sizes u - (cumsum(u) - 1) / idx rounds to <= 0 at every index.
+    assert opt._project_simplex(np.array(v)).tolist() == expected
+
+
+def test_descent_returns_a_simplex_point_with_a_user_at_200_db():
+    users = (mj.UserParams(1e20, 1e20, 1), mj.UserParams(10.0, 10.0, 1))
+    res = mj.solve_projected_descent(mj.SystemConfig(10, users), mj.JammerBudget(1.0))
+    z = res.alloc.as_vector()
+    assert np.isfinite(z).all() and (z >= 0.0).all()
+    assert z.sum() == pytest.approx(1.0, abs=1e-12)
+
+
 FLAT_CASES = {
     "zero_budget": (two_users((10.0, 20.0), (30.0, 10.0), (1, 2)), 0.0),
     "all_silent": (two_users((10.0, 20.0), (0.0, 0.0), (1, 2)), 5.0),
