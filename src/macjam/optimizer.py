@@ -31,6 +31,7 @@ and a multi-start projected gradient descent.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, fields
 from typing import NamedTuple
@@ -44,6 +45,7 @@ from .model import (
     UserParams,
     _golden_section,
     _ratio_rho,
+    _ratio_terms,
     uniform_allocation,
 )
 
@@ -79,9 +81,10 @@ PATH_WINDOW = 1e-6
 
 # Fixed settings of the two reference solvers (oracle, projected descent).
 ORACLE_MAX_GRID_POINTS = 2_000_000  # larger grids switch to Dirichlet sampling
-# Grid rows the oracle evaluates at once (see _grid_blocks).  Blocks of 2**14
-# rows keep each temporary array in a quarter of a megabyte; a K = 2 solve at
-# grid 1e-3 ran ~15% slower with blocks of 2**16 rows on a 2-vCPU x86 VM.
+# Grid rows the oracle searches at once (see _grid_blocks, _grid_min).  A block
+# of 2**14 rows holds K + 1 int64 count columns and the float vectors gathered
+# from the per-coordinate tables, 128 KiB each; a K = 2 grid search at grid
+# 1e-3 ran ~50% slower with blocks of 2**16 rows on a 2-vCPU x86 VM.
 ORACLE_BLOCK_ROWS = 2**14
 ORACLE_SEARCH_SAMPLES = 50_000
 ORACLE_SEED = 12345
@@ -464,19 +467,19 @@ def solve(cfg: SystemConfig, budget: JammerBudget) -> SolveResult:
     return solve_kkt(cfg, budget)
 
 
-def _simplex_grid(dim: int, steps: int, leads: tuple[int, int] | None = None) -> np.ndarray:
-    """Points of the integer simplex grid {z >= 0, sum z = steps} / steps.
+def _simplex_counts(dim: int, steps: int, leads: tuple[int, int] | None = None) -> tuple[np.ndarray, ...]:
+    """The integer simplex grid {c >= 0, sum c = steps}, as ``dim`` int64 count columns.
 
-    Rows come in lexicographic order, stored column by column (an ``(n, dim)``
-    array in Fortran order), so an elementwise pass over a coordinate runs
-    over all rows at once.  ``leads = (first, stop)`` keeps only the rows
-    whose leading count lies in ``range(first, stop)``; by default all of
-    them.  Built one coordinate at a time on integer counts: a partial row
-    with ``r`` units left becomes ``r + 1`` rows whose next count runs 0..r;
-    the last count takes the rest.
+    Rows come in lexicographic order; each column is its own contiguous
+    array, so a pass over a coordinate runs over all rows at once and no
+    array of whole rows is built.  ``leads = (first, stop)`` keeps only the
+    rows whose leading count lies in ``range(first, stop)``; by default all
+    of them.  Built one coordinate at a time: a partial row with ``r`` units
+    left becomes ``r + 1`` rows whose next count runs 0..r; the last count
+    takes the rest.
     """
     if dim == 1:
-        return np.ones((1, 1))
+        return (np.full(1, steps, dtype=np.int64),)
     lead = np.arange(*(leads or (0, steps + 1)), dtype=np.int64)
     cols, rest = [lead], steps - lead
     for _ in range(dim - 2):
@@ -484,11 +487,17 @@ def _simplex_grid(dim: int, steps: int, leads: tuple[int, int] | None = None) ->
         lead = np.arange(int(reps.sum())) - np.repeat(np.cumsum(reps) - reps, reps)
         cols = [np.repeat(c, reps) for c in cols] + [lead]
         rest = np.repeat(rest, reps) - lead
-    return (np.stack(cols + [rest]) / steps).T
+    return (*cols, rest)
+
+
+def _simplex_grid(dim: int, steps: int) -> np.ndarray:
+    """The points :func:`_simplex_counts` ``/ steps`` as an ``(n, dim)`` array,
+    stored column by column (Fortran order)."""
+    return (np.stack(_simplex_counts(dim, steps)) / steps).T
 
 
 def _grid_blocks(dim: int, steps: int):
-    """``_simplex_grid(dim, steps)`` in order, as blocks of whole leading counts.
+    """``_simplex_counts(dim, steps)`` in order, as blocks of whole leading counts.
 
     Each block takes as many consecutive leading counts as fit in
     ``ORACLE_BLOCK_ROWS`` rows, and at least one, so a block is at most
@@ -506,20 +515,49 @@ def _grid_blocks(dim: int, steps: int):
     while first <= steps:
         start = int(ends[first - 1]) if first else 0
         stop = max(first + 1, int(np.searchsorted(ends, start + ORACLE_BLOCK_ROWS, side="right")))
-        yield _simplex_grid(dim, steps, (first, stop))
+        yield _simplex_counts(dim, steps, (first, stop))
         first = stop
 
 
-def _first_min(blocks, sys: _Sys):
-    """The first point of least objective over the point arrays ``blocks``,
-    taken in order, and its value: a later block wins only when strictly lower."""
-    z0 = best = None
-    for pts in blocks:
-        vals = _rho_z(pts, sys)
+def _grid_min(dim: int, steps: int, sys: _Sys):
+    """The first point of least objective on ``_simplex_grid(dim, steps)``, and its value.
+
+    Every coordinate of a grid point is one of the ``steps + 1`` values
+    ``c / steps``, so alpha and beta (per user) and gamma are tabulated once
+    on them, and each block of counts gathers its rows' terms from the
+    tables.  The user sums run column by column, in user order, as
+    :func:`_rho_z` sums a column-ordered block, and the value is the same
+    ``gamma A / (1 + gamma B)``: every value is bit for bit the one
+    ``_rho_z`` gives on the grid.  Blocks are taken in order, and a later
+    block wins only when strictly lower.
+    """
+    z = np.arange(steps + 1) / steps
+    # The per-user vectors as columns: alphas and betas get one row per user.
+    alphas, betas, gamma = _ratio_terms(z, z, sys.pt[:, None], sys.pd[:, None], sys.tt[:, None], sys.energy, sys.Td)
+    best_counts = best = None
+    for counts in _grid_blocks(dim, steps):
+        a, b = alphas[0].take(counts[0]), betas[0].take(counts[0])
+        for k in range(1, dim - 1):
+            a += alphas[k].take(counts[k])
+            b += betas[k].take(counts[k])
+        g = gamma.take(counts[-1])
+        vals = g * a / (1.0 + g * b)
         i = int(np.argmin(vals))
-        if z0 is None or vals[i] < best:
-            z0, best = pts[i].copy(), vals[i]
-    return z0, best
+        if best is None or vals[i] < best:
+            best_counts, best = [c[i] for c in counts], vals[i]
+    return np.array(best_counts) / steps, best
+
+
+@functools.lru_cache(maxsize=1)
+def _dirichlet_starts(dim: int) -> np.ndarray:
+    """The oracle's start set above the grid cap: the simplex vertices, its
+    center and ``ORACLE_SEARCH_SAMPLES`` Dirichlet points from ``ORACLE_SEED``,
+    one read-only column-ordered ``(n, dim)`` array, kept for the last ``dim``."""
+    rng = np.random.default_rng(ORACLE_SEED)
+    samples = rng.dirichlet(np.ones(dim), size=ORACLE_SEARCH_SAMPLES)
+    starts = np.asfortranarray(np.concatenate([np.eye(dim), np.full((1, dim), 1.0 / dim), samples]))
+    starts.flags.writeable = False
+    return starts
 
 
 def _pair_descent(z, sys: _Sys):
@@ -566,23 +604,28 @@ def _pair_descent(z, sys: _Sys):
 def solve_oracle(cfg: SystemConfig, budget: JammerBudget, grid_resolution: float = 1e-3) -> SolveResult:
     """Brute-force reference: exhaustive simplex grid plus pairwise-descent polish.
 
-    The grid's rows are generated and evaluated in lexicographic order, in
-    blocks of whole leading counts (:func:`_grid_blocks`: at most
-    ``ORACLE_BLOCK_ROWS`` = 16,384 rows, or one leading count's sub-grid
-    where that alone is larger).  The polish starts from the first row of
-    least objective, a later block winning only when strictly lower, which
-    is the row one argmin over the whole grid would pick.  So a K = 2 solve
-    at grid 1e-3 (501,501 rows) keeps its traced memory peak under 16 MiB
-    (about 2 MiB), where one array of the whole grid took about 50 MiB.
-    Each block is evaluated column by column; with K >= 8 users the
-    per-point user sum may round differently from a sum along rows.  When
-    the grid would exceed 2,000,000 points (``ORACLE_MAX_GRID_POINTS``) it
-    is replaced by 50,000 Dirichlet samples drawn from the fixed seed
-    ``ORACLE_SEED`` (plus the simplex vertices and center), evaluated as one
-    column-ordered array; the polish does the precision work either
-    way.  Only intended for tests and diagnostics.  ``grid_resolution`` must
-    lie in (0, 1] with a finite reciprocal; any other value, NaN included, is
-    a ``ValueError``.
+    The grid search (:func:`_grid_min`) tabulates alpha, beta (per user) and
+    gamma once on the ``steps + 1`` coordinate values ``c / steps``, then
+    walks the grid in lexicographic order, in blocks of whole leading counts
+    (:func:`_grid_blocks`: at most ``ORACLE_BLOCK_ROWS`` = 16,384 rows, or
+    one leading count's sub-grid where that alone is larger).  A block holds
+    K + 1 int64 count columns; each row's terms are gathered from the tables
+    and summed over the users in user order, the sum a column-ordered grid
+    array gets, so with K >= 8 users a value may round differently from a
+    sum along rows.  Only the winning row becomes a point.  The polish
+    starts from the first row of least objective, a later block winning only
+    when strictly lower, which is the row one argmin over the whole grid
+    would pick.  So a K = 2 solve at grid 1e-3 (501,501 rows) keeps its
+    traced memory peak under 16 MiB (about 1.4 MiB), where one array of the
+    whole grid took about 50 MiB.  When the grid would exceed 2,000,000
+    points (``ORACLE_MAX_GRID_POINTS``) the start is the best of 50,000
+    Dirichlet samples from the fixed seed ``ORACLE_SEED`` plus the simplex
+    vertices and center; that set is drawn once, kept read-only and reused
+    by the next call with as many users (:func:`_dirichlet_starts`), and the
+    start row is copied out of it.  The polish does the precision work
+    either way.  Only intended for tests and diagnostics.
+    ``grid_resolution`` must lie in (0, 1] with a finite reciprocal; any
+    other value, NaN included, is a ``ValueError``.
     """
     if not (0.0 < grid_resolution <= 1.0 and math.isfinite(1.0 / grid_resolution)):
         raise ValueError(
@@ -592,12 +635,10 @@ def solve_oracle(cfg: SystemConfig, budget: JammerBudget, grid_resolution: float
     dim = cfg.n_users + 1
     steps = round(1.0 / grid_resolution)
     if math.comb(steps + dim - 1, dim - 1) <= ORACLE_MAX_GRID_POINTS:
-        blocks = _grid_blocks(dim, steps)
+        z0, _ = _grid_min(dim, steps, sys)
     else:
-        rng = np.random.default_rng(ORACLE_SEED)
-        samples = rng.dirichlet(np.ones(dim), size=ORACLE_SEARCH_SAMPLES)
-        blocks = [np.asfortranarray(np.concatenate([np.eye(dim), np.full((1, dim), 1.0 / dim), samples]))]
-    z0, _ = _first_min(blocks, sys)
+        starts = _dirichlet_starts(dim)
+        z0 = starts[int(np.argmin(_rho_z(starts, sys)))].copy()
     z, _, sweeps = _pair_descent(z0, sys)
     return _build_result(sys, z, METHOD_ORACLE, sweeps)
 

@@ -379,7 +379,7 @@ def test_blocked_grid_search_matches_one_argmin_over_the_grid(dim, steps):
     for _ in range(3):
         sys = opt._sys(random_config(rng, k=dim - 1, p_lo=1e-3, p_hi=1e8), random_budget(rng))
         z_ref, val_ref = whole_grid_argmin(dim, steps, sys)
-        z, val = opt._first_min(opt._grid_blocks(dim, steps), sys)
+        z, val = opt._grid_min(dim, steps, sys)
         assert [v.hex() for v in z] == [v.hex() for v in z_ref]
         assert float(val).hex() == float(val_ref).hex()
 
@@ -387,9 +387,8 @@ def test_blocked_grid_search_matches_one_argmin_over_the_grid(dim, steps):
 def test_blocked_grid_search_keeps_the_first_of_tied_rows():
     # At a zero budget every grid value is equal, so every block ties with the first.
     sys = opt._sys(random_config(np.random.default_rng(5), k=2), mj.JammerBudget(0.0))
-    blocks = list(opt._grid_blocks(3, 400))
-    assert len(blocks) > 1
-    z, _ = opt._first_min(blocks, sys)
+    assert len(list(opt._grid_blocks(3, 400))) > 1
+    z, _ = opt._grid_min(3, 400, sys)
     assert z.tolist() == [0.0, 0.0, 1.0]
     assert z.tolist() == whole_grid_argmin(3, 400, sys)[0].tolist()
 
@@ -397,12 +396,58 @@ def test_blocked_grid_search_keeps_the_first_of_tied_rows():
 @pytest.mark.parametrize("dim, steps", [(2, 40000), (3, 300), (12, 10), (6, 1)])
 def test_grid_blocks_hold_whole_leading_counts_in_order(dim, steps):
     # At dim 12, steps 10 leading count 0 alone heads 184,756 rows, more than a block.
-    blocks = list(opt._grid_blocks(dim, steps))
-    grid = _simplex_grid(dim, steps)
+    blocks = [np.stack(b, axis=1) for b in opt._grid_blocks(dim, steps)]
+    grid = np.stack(opt._simplex_counts(dim, steps), axis=1)
     assert np.array_equal(np.concatenate(blocks), grid)
     limit = max(opt.ORACLE_BLOCK_ROWS, math.comb(steps + dim - 2, dim - 2))
     assert all(0 < len(b) <= limit for b in blocks)
     assert all(b[0, 0] > a[-1, 0] for a, b in zip(blocks, blocks[1:]))
+
+
+# From 8 terms on, numpy sums a row pairwise, so a sum along rows may round
+# apart from the user-order sum over columns that the tables reproduce; the
+# reference is _rho_z on the column-ordered grid.  Each grid spans two or more blocks.
+@pytest.mark.parametrize("dim, steps", [(9, 10), (10, 8), (11, 7), (12, 7)])
+def test_table_grid_search_matches_the_column_ordered_grid_at_many_users(dim, steps):
+    assert math.comb(steps + dim - 1, dim - 1) > opt.ORACLE_BLOCK_ROWS
+    grid = _simplex_grid(dim, steps)
+    rng = np.random.default_rng(dim)
+    for _ in range(3):
+        sys = opt._sys(random_config(rng, k=dim - 1, p_lo=1e-3, p_hi=1e8), random_budget(rng))
+        vals = opt._rho_z(grid, sys)
+        i = int(np.argmin(vals))
+        z, val = opt._grid_min(dim, steps, sys)
+        assert [v.hex() for v in z] == [v.hex() for v in grid[i]]
+        assert float(val).hex() == float(vals[i]).hex()
+
+
+def test_dirichlet_starts_are_one_read_only_fixed_seed_draw():
+    dim = 4
+    opt._dirichlet_starts.cache_clear()
+    starts = opt._dirichlet_starts(dim)
+    assert opt._dirichlet_starts(dim) is starts
+    assert not starts.flags.writeable
+    with pytest.raises(ValueError):
+        starts[0, 0] = 0.5
+    rng = np.random.default_rng(opt.ORACLE_SEED)
+    samples = rng.dirichlet(np.ones(dim), size=opt.ORACLE_SEARCH_SAMPLES)
+    fresh = np.concatenate([np.eye(dim), np.full((1, dim), 1.0 / dim), samples])
+    assert starts.flags.f_contiguous
+    assert np.ascontiguousarray(starts).tobytes() == fresh.tobytes()
+
+
+def test_oracle_over_the_grid_cap_gives_the_same_bits_twice_in_a_row():
+    # The first call fills the start cache, the second reads it: nothing the
+    # first call did may have written into it.
+    cfg = random_config(np.random.default_rng(21), k=3)
+    budget = mj.JammerBudget(30.0)
+    assert math.comb(1000 + cfg.n_users, cfg.n_users) > opt.ORACLE_MAX_GRID_POINTS
+    opt._dirichlet_starts.cache_clear()
+    first = mj.solve_oracle(cfg, budget, grid_resolution=1e-3)
+    second = mj.solve_oracle(cfg, budget, grid_resolution=1e-3)
+    assert [v.hex() for v in second.alloc.as_vector()] == [v.hex() for v in first.alloc.as_vector()]
+    assert second.rho_star.hex() == first.rho_star.hex()
+    assert second.iterations == first.iterations
 
 
 # float.hex of (allocation..., rho*, nu*, residual) and iterations, as the
