@@ -15,9 +15,9 @@ from typing import get_type_hints
 
 import yaml
 
-from .model import JammerAllocation, JammerBudget, SystemConfig, uniform_allocation
+from .model import JammerAllocation, JammerBudget, SystemConfig, _require_count, uniform_allocation
 from .optimizer import SolveResult, SolverError, _energy, activation_powers, solve, solve_kkt, solve_oracle
-from .rates import MonteCarloSettings, RateReport, _check_count, draw_samples, rate_report
+from .rates import MonteCarloSettings, RateReport, draw_samples, rate_report
 from .scenario import (
     ScenarioError,
     ScenarioSpec,
@@ -81,7 +81,7 @@ SWEEP_BANK_MAX_BYTES = 64 * 2**20
 
 
 def run_sweep(spec: ScenarioSpec, workers: int = 1) -> list[SweepRow]:
-    _check_count("workers", workers)
+    _require_count("workers", workers)
     # Every grid point is converted and its energy checked before the first solve, so one
     # out of range fails at once.
     points = [(pw_db, JammerBudget(db_to_linear(pw_db))) for pw_db in sweep_db_values(spec)]

@@ -10,13 +10,33 @@ The post-detection SINR is written two independent ways: from the ratio form
 (:func:`objective_rho`, :func:`rho_value`) and from the estimation variances
 (:func:`_sinr_coeffs`, whose per-user coefficients the Monte Carlo prices and
 whose sum is :func:`rho_from_estimation`).
+
+The input domain, each limit with the one function that enforces it:
+
+- powers from -30 to 80 dB and jamming budgets from -40 to 100 dB, with up
+  to tens of users, are the ranges the solvers are tested and certified on;
+  any finite power is accepted, a training power > 0 and a data power or
+  budget >= 0 (:class:`UserParams`, :class:`JammerBudget`);
+- a block of at most ``MAX_BLOCK_LEN`` = 2**53 symbols, longer than the
+  users' training windows together (:func:`_require_lengths`);
+- sample, user and worker counts are integers >= 1 (:func:`_require_count`);
+- a jamming energy ``P_w T`` of at most ``optimizer.MAX_ENERGY`` = 1e120
+  (``optimizer._energy``);
+- a jammer sweep of at most ``scenario.MAX_SWEEP_POINTS`` = 10**6 points
+  (``scenario.SweepRange``);
+- an oracle grid resolution in (0, 1] with a finite reciprocal
+  (``optimizer.solve_oracle``).
+
+Known failure inside the domain: on about 3 in 1,000 random configs with
+training windows of 1 to 200 symbols, ``optimizer.solve_kkt`` raises
+``SolverError``, because renormalizing its refined point breaks the
+certificate (ROADMAP item 1).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -54,6 +74,21 @@ def _require_int(name: str, value) -> int:
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise ValueError(f"{name} must be an integer, got {value!r}")
     return int(value)
+
+
+def _require_count(name: str, value) -> int:
+    """A count (samples, users, workers): an integer, not a ``bool``, at least 1."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
+        raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+    return int(value)
+
+
+def _require_lengths(block_len: int, total_train: int) -> None:
+    """The block-length rules: at most ``MAX_BLOCK_LEN`` symbols, longer than all training."""
+    if block_len > MAX_BLOCK_LEN:
+        raise ValueError(f"block_len exceeds the limit MAX_BLOCK_LEN = 2**53 = {MAX_BLOCK_LEN}")
+    if total_train >= block_len:
+        raise ValueError(f"total training length {total_train} must be smaller than block_len {block_len}")
 
 
 @dataclass(frozen=True)
@@ -99,19 +134,13 @@ class SystemConfig:
 
     def __post_init__(self):
         t = _require_int("block_len", self.block_len)
-        if t > MAX_BLOCK_LEN:
-            raise ValueError(f"block_len exceeds the limit MAX_BLOCK_LEN = 2**53 = {MAX_BLOCK_LEN}")
         users = tuple(self.users)
         if len(users) < 1:
             raise ValueError("users must contain at least one user")
         for u in users:
             if not isinstance(u, UserParams):
                 raise ValueError(f"users entries must be UserParams, got {type(u).__name__}")
-        t_t = sum(u.train_len for u in users)
-        if t_t >= t:
-            raise ValueError(
-                f"total training length {t_t} must be smaller than block_len {t}"
-            )
+        _require_lengths(t, sum(u.train_len for u in users))
         object.__setattr__(self, "block_len", t)
         object.__setattr__(self, "users", users)
 
@@ -218,8 +247,9 @@ class EstimationQuality:
     def __post_init__(self):
         est = _require_finite("est_var", self.est_var)
         err = _require_finite("err_var", self.err_var)
-        if not (0.0 <= est < 1.0):
-            raise ValueError(f"est_var must lie in [0, 1), got {est}")
+        # lmmse_quality gives est_var = s / (1 + s) = 1.0 once the pilot SNR s reaches 2**53.
+        if not (0.0 <= est <= 1.0):
+            raise ValueError(f"est_var must lie in [0, 1], got {est}")
         if not (0.0 < err <= 1.0):
             raise ValueError(f"err_var must lie in (0, 1], got {err}")
         if abs(est + err - 1.0) > 1e-12:

@@ -19,7 +19,15 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.random import Generator, Philox, SeedSequence
 
-from .model import JammerAllocation, JammerBudget, SystemConfig, _require_int, _sinr_coeffs, objective_rho
+from .model import (
+    JammerAllocation,
+    JammerBudget,
+    SystemConfig,
+    _require_count,
+    _require_int,
+    _sinr_coeffs,
+    objective_rho,
+)
 
 __all__ = [
     "EULER_GAMMA",
@@ -56,13 +64,12 @@ class MonteCarloSettings:
     confidence_z: float = 1.96
 
     def __post_init__(self):
-        if _require_int("samples", self.samples) < 1:
-            raise ValueError(f"samples must be >= 1, got {self.samples}")
+        samples = _require_count("samples", self.samples)
         if _require_int("seed", self.seed) < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
         if not math.isfinite(self.confidence_z) or self.confidence_z <= 0.0:
             raise ValueError(f"confidence_z must be > 0, got {self.confidence_z!r}")
-        object.__setattr__(self, "samples", int(self.samples))
+        object.__setattr__(self, "samples", samples)
         object.__setattr__(self, "seed", int(self.seed))
         object.__setattr__(self, "confidence_z", float(self.confidence_z))
 
@@ -88,11 +95,6 @@ class RateReport:
 def _block_sizes(samples: int) -> list[tuple[int, int]]:
     """``(block index, sample count)`` of every block of ``samples`` draws."""
     return [(i, min(_BLOCK, samples - i * _BLOCK)) for i in range((samples + _BLOCK - 1) // _BLOCK)]
-
-
-def _check_count(name: str, value) -> None:
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
-        raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
 
 
 def _draw_block(
@@ -159,8 +161,7 @@ def draw_samples(mc: MonteCarloSettings, n_users: int) -> SampleBank:
 
     Each block is generated in place into its rows of the bank, from the same
     Philox stream as a fresh draw."""
-    _check_count("n_users", n_users)
-    n_users = int(n_users)
+    n_users = _require_count("n_users", n_users)
     draws = np.empty((mc.samples, n_users))
     for b, m in _block_sizes(mc.samples):
         _draw_block(mc.seed, b, m, n_users, out=draws[b * _BLOCK : b * _BLOCK + m])
@@ -193,7 +194,7 @@ def sum_rate_mc(
     ``samples * K * 8`` bytes of memory for as long as the caller keeps it:
     6.4 MB for the bundled fig2 sweep (200,000 samples, K = 4), 51 MB at K = 32.
     """
-    _check_count("workers", workers)
+    _require_count("workers", workers)
     coeffs, pref = _sinr_coeffs(alloc, cfg, budget)
     if bank is None:
         k = coeffs.size

@@ -18,7 +18,7 @@ from pathlib import Path
 
 import yaml
 
-from .model import MAX_BLOCK_LEN, SystemConfig, UserParams, _golden_section
+from .model import SystemConfig, UserParams, _golden_section, _require_lengths
 from .rates import EULER_GAMMA, MonteCarloSettings
 
 __all__ = [
@@ -285,14 +285,12 @@ def to_system_config(spec: ScenarioSpec) -> SystemConfig:
     A user that does not resolve (an overflowing dB value, a budget that cannot
     be split, invalid powers) raises :class:`ScenarioError` naming ``users[idx]``.
     """
-    if spec.block_len > MAX_BLOCK_LEN:
-        raise ScenarioError(f"block_len exceeds the limit MAX_BLOCK_LEN = 2**53 = {MAX_BLOCK_LEN}")
     total_train = sum(u.train_len for u in spec.users)
+    try:
+        _require_lengths(spec.block_len, total_train)
+    except ValueError as exc:
+        raise ScenarioError(str(exc)) from exc
     data_len = spec.block_len - total_train
-    if data_len < 1:
-        raise ScenarioError(
-            f"total training length {total_train} must be smaller than block_len {spec.block_len}"
-        )
     users = []
     for idx, u in enumerate(spec.users):
         try:

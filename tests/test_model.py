@@ -20,6 +20,8 @@ def test_user_params_validation():
         mj.UserParams(train_power=1.0, data_power=1.0, train_len=0)
     with pytest.raises(ValueError):
         mj.UserParams(train_power=1.0, data_power=1.0, train_len=1.5)
+    with pytest.raises(ValueError, match="train_power must be finite"):
+        mj.UserParams(train_power=math.inf, data_power=1.0, train_len=1)
     # a silent user (no data power) is allowed
     mj.UserParams(train_power=1.0, data_power=0.0, train_len=1)
 
@@ -32,6 +34,8 @@ def test_system_config_requires_data_phase():
         mj.SystemConfig(10, (u5, u5))
     with pytest.raises(ValueError):
         mj.SystemConfig(10, ())
+    with pytest.raises(ValueError, match="users entries must be UserParams, got tuple"):
+        mj.SystemConfig(10, ((1.0, 1.0, 1),))
     cfg = mj.SystemConfig(11, (u5, u5))
     assert cfg.n_users == 2
     assert cfg.total_train_len == 10
@@ -130,6 +134,11 @@ def test_lmmse_quality_limits():
     assert jammed.est_var < 1e-10
     with pytest.raises(ValueError):
         mj.lmmse_quality(mj.UserParams(1.0, 1.0, 1), -1.0)
+    # From a pilot SNR of 2**53 up, est_var = s / (1 + s) rounds to 1.0.
+    for train_power in (1e16, 2**53):
+        strong = mj.lmmse_quality(mj.UserParams(train_power, 1.0, 1), 0.0)
+        assert strong.est_var == 1.0
+        assert 0.0 < strong.err_var < 2e-16
 
 
 @given(
@@ -147,8 +156,9 @@ def test_estimate_and_error_variance_sum_to_one(p_t, t_t, jam):
 def test_estimation_quality_validation():
     with pytest.raises(ValueError):
         mj.EstimationQuality(est_var=0.6, err_var=0.6)
-    with pytest.raises(ValueError):
-        mj.EstimationQuality(est_var=1.0, err_var=0.0)
+    for est, err in ((1.0, 0.0), (0.5, -0.5), (0.0, 1.5)):
+        with pytest.raises(ValueError, match="err_var must lie in"):
+            mj.EstimationQuality(est_var=est, err_var=err)
 
 
 def test_alpha_beta_gamma_jam_free_training():

@@ -131,8 +131,6 @@ def _reference_solve_kkt(cfg, budget):
             free[order[:m]] = True
             free[-1] = free_d
             z = opt._refine_active_set(sys, free)
-            if z is None:
-                continue
             tried += 1
             checked = _sign_checked(sys, z, free)
             if checked is None:

@@ -63,14 +63,17 @@ def test_all_zero_data_power_gives_exactly_zero():
     assert mj.sum_rate_lb(alloc, cfg, budget) == 0.0
 
 
-def test_mc_matches_quadrature_oracle_single_user():
-    from scipy import integrate
+def _exp_e1(x: float) -> float:
+    """``e^x E1(x)`` from the power series of the exponential integral, for 0 < x <= 1."""
+    series = math.fsum((-1) ** (k + 1) * x**k / (k * math.factorial(k)) for k in range(1, 21))
+    return math.exp(x) * (-mj.EULER_GAMMA - math.log(x) + series)
 
-    # R = 0.9 * E[log2(1 + rho X)] with X ~ Exp(1); integrate the density.
-    oracle, err = integrate.quad(
-        lambda x: 0.9 * np.log2(1.0 + K1_RHO * x) * np.exp(-x), 0.0, np.inf
-    )
-    assert err < 1e-8
+
+def test_mc_matches_exact_value_single_user():
+    # e E1(1) is the Gompertz constant.
+    assert _exp_e1(1.0) == pytest.approx(0.59634736232319407434, rel=1e-15)
+    # R = 0.9 * E[log2(1 + rho X)] with X ~ Exp(1), which is 0.9 e^(1/rho) E1(1/rho) / ln 2.
+    oracle = 0.9 * _exp_e1(1.0 / K1_RHO) / math.log(2.0)
     mc = mj.MonteCarloSettings(samples=200_000, seed=2)
     estimate, halfwidth = mj.sum_rate_mc(K1_ALLOC, K1, NO_JAM, mc)
     assert abs(estimate - oracle) <= 3.0 * halfwidth
@@ -310,8 +313,12 @@ def test_mc_seed_changes_estimate():
 
 
 def test_monte_carlo_settings_validation():
-    with pytest.raises(ValueError):
-        mj.MonteCarloSettings(samples=0)
+    for samples in (0, 1.5, True):
+        with pytest.raises(ValueError, match="samples must be an integer >= 1"):
+            mj.MonteCarloSettings(samples=samples)
+    assert type(mj.MonteCarloSettings(samples=np.int64(10)).samples) is int
+    with pytest.raises(ValueError, match="n_users must be an integer >= 1"):
+        mj.draw_samples(mj.MonteCarloSettings(samples=10), 0)
     with pytest.raises(ValueError):
         mj.MonteCarloSettings(samples=10, seed=-1)
     with pytest.raises(ValueError):

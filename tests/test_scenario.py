@@ -79,6 +79,24 @@ def test_jammer_needs_exactly_one_form():
         SweepRange(min_db=0.0, max_db=1.0, step_db=0.0)
 
 
+@pytest.mark.parametrize(
+    "pattern, replacement, message",
+    [
+        ("block_len: 100", "block_len: 1.5", "block_len must be an integer, got 1.5"),
+        ("jammer:\n  power_db: 10.0", "jammer: 5", "jammer must be a mapping, got int"),
+        ("output: demo", 'output: ""', "output must be a non-empty string"),
+        (r"users:\n(  .*\n)+", "users: []\n", "users must be a non-empty list"),
+        (r"users:\n(  .*\n)+", "users: {train_len: 1}\n", "users must be a non-empty list"),
+    ],
+    ids=["block_len_float", "jammer_scalar", "output_empty", "users_empty", "users_mapping"],
+)
+def test_malformed_fields_are_named(pattern, replacement, message):
+    text = re.sub(pattern, replacement, GOOD)
+    assert text != GOOD
+    with pytest.raises(ScenarioError, match=re.escape(message)):
+        parse_scenario(text)
+
+
 def test_training_longer_than_block_rejected():
     bad = GOOD.replace("block_len: 100", "block_len: 3")
     with pytest.raises(ScenarioError, match="block_len"):
@@ -101,9 +119,12 @@ def test_bundled_fig2_scenario():
         mj.bundled_scenario_path("fig9.scenario")
 
 
-def test_round_trip_fixed_spec():
+def test_round_trip_fixed_spec(tmp_path):
     spec = parse_scenario(GOOD)
     assert parse_scenario(mj.dump_scenario(spec)) == spec
+    path = tmp_path / "demo.scenario"
+    mj.save_scenario(spec, path)
+    assert mj.load_scenario(path) == spec
 
 
 @st.composite
