@@ -311,7 +311,7 @@ def _cmd_oracle_check(args) -> int:
     dist = max(abs(a - b) for a, b in zip(kkt.alloc.as_vector(), oracle.alloc.as_vector()))
     print(f"P_w = {pw_db:g} dB")
     print(f"kkt    rho* = {kkt.rho_star:.12g} (residual {kkt.kkt_residual:.3e})")
-    print(f"oracle rho* = {oracle.rho_star:.12g} (grid {args.grid:g})")
+    print(f"oracle rho* = {oracle.rho_star:.12g} (grid {args.grid:g}, polish sweeps {oracle.iterations})")
     print(f"rho discrepancy (oracle - kkt) = {gap:.3e}")
     print(f"allocation max |difference| = {dist:.3e}")
     return EXIT_OK

@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass, fields
 from typing import NamedTuple
 
@@ -560,29 +561,57 @@ def _dirichlet_starts(dim: int) -> np.ndarray:
     return starts
 
 
+def _user_sum(values):
+    """``values`` summed left to right, in user order.  Up to 7 terms that is
+    the order, and so the bits, of ``ndarray.sum``; from 8 NumPy sums
+    pairwise.  (Not ``sum``, which compensates from Python 3.12.)"""
+    return functools.reduce(operator.add, values)
+
+
 def _pair_descent(z, sys: _Sys):
     """Projected coordinate descent on the simplex via pairwise transfers.
 
     Moving mass t from coordinate j to coordinate i keeps the simplex exact;
     each pair is line-searched by golden section.  Derivative-free, so the
     polish shares nothing with the stationarity-based solvers.
+
+    The search runs on Python floats.  Each user's alpha and beta, and
+    gamma, are kept for the current point; a trial on the pair (i, j)
+    recomputes with :func:`_ratio_terms` only the two terms it moves, user
+    i's and either user j's or gamma (j the data coordinate), and forms
+    ``gamma A / (1 + gamma B)`` with the user sums in user order
+    (:func:`_user_sum`, as :func:`_grid_min` sums).  Up to 7 users every
+    value is bit for bit the :func:`_rho_z` of the trial point; from 8 a
+    value may round apart from it in the last bits.
     """
-    z = np.array(z, dtype=float)
-    dim = z.size
-    best = _rho_z(z, sys)
+    z = np.asarray(z, dtype=float).tolist()
+    users = len(z) - 1
+    pt, pd, tt = sys.pt.tolist(), sys.pd.tolist(), sys.tt.tolist()
+
+    def terms(k, zeta_k, zeta_d):
+        return _ratio_terms(zeta_k, zeta_d, pt[k], pd[k], tt[k], sys.energy, sys.Td)
+
+    def value(a, b, g):
+        return g * _user_sum(a) / (1.0 + g * _user_sum(b))
+
+    alphas, betas, gamma = _ratio_terms(np.array(z[:-1]), z[-1], sys.pt, sys.pd, sys.tt, sys.energy, sys.Td)
+    alphas, betas = alphas.tolist(), betas.tolist()
+    best = value(alphas, betas, gamma)
     for sweeps in range(1, ORACLE_MAX_SWEEPS + 1):
         start = best
-        for i in range(dim):
-            for j in range(i + 1, dim):
+        for i in range(users):
+            for j in range(i + 1, users + 1):
                 lo, hi = -z[i], z[j]
                 if hi - lo <= 1e-15:
                     continue
-                trial = z.copy()
+                zi, zj, zd, data = z[i], z[j], z[-1], j == users
+                a, b = alphas.copy(), betas.copy()
 
                 def phi(t):
-                    trial[i] = z[i] + t
-                    trial[j] = z[j] - t
-                    return _rho_z(trial, sys)
+                    a[i], b[i], g = terms(i, zi + t, zj - t if data else zd)
+                    if not data:
+                        a[j], b[j], _ = terms(j, zj - t, zd)
+                    return value(a, b, g)
 
                 _, _, c, fc, d, fd = _golden_section(phi, lo, hi, 1e-12)
                 t_best, f_best = (c, fc) if fc <= fd else (d, fd)
@@ -591,14 +620,15 @@ def _pair_descent(z, sys: _Sys):
                     if f_edge < f_best:
                         t_best, f_best = t_edge, f_edge
                 if f_best < best:
-                    z[i] += t_best
-                    z[j] -= t_best
-                    z[i] = max(z[i], 0.0)
-                    z[j] = max(z[j], 0.0)
+                    z[i] = max(zi + t_best, 0.0)
+                    z[j] = max(zj - t_best, 0.0)
+                    alphas[i], betas[i], gamma = terms(i, z[i], z[-1])
+                    if not data:
+                        alphas[j], betas[j], _ = terms(j, z[j], z[-1])
                     best = f_best
         if start - best <= ORACLE_REL_TOL * max(1.0, abs(start)):
             break
-    return z, best, sweeps
+    return np.array(z), best, sweeps
 
 
 def solve_oracle(cfg: SystemConfig, budget: JammerBudget, grid_resolution: float = 1e-3) -> SolveResult:
@@ -623,7 +653,13 @@ def solve_oracle(cfg: SystemConfig, budget: JammerBudget, grid_resolution: float
     vertices and center; that set is drawn once, kept read-only and reused
     by the next call with as many users (:func:`_dirichlet_starts`), and the
     start row is copied out of it.  The polish does the precision work
-    either way.  Only intended for tests and diagnostics.
+    either way.  It runs on Python floats (:func:`_pair_descent`): a trial
+    recomputes only the two terms it moves, and the user sums run in user
+    order, the grid's order, so up to 7 users every trial value is the
+    one ``_rho_z`` gives at the trial point.  From 8 users NumPy sums a
+    point pairwise, and the polish may end a few ulps from where one on
+    NumPy arrays would.  ``iterations`` is the polish's sweep count.
+    Only intended for tests and diagnostics.
     ``grid_resolution`` must lie in (0, 1] with a finite reciprocal; any
     other value, NaN included, is a ``ValueError``.
     """

@@ -316,6 +316,13 @@ def test_oracle_check_reports_small_discrepancy(tmp_path, capsys):
     out = capsys.readouterr().out
     gap = float(next(l.split("=")[1] for l in out.splitlines() if "discrepancy" in l))
     assert abs(gap) < 1e-4
+    # The oracle line ends with the polish's sweep count, the result's iterations.
+    spec = mj.load_scenario(path)
+    oracle = mj.solve_oracle(
+        mj.to_system_config(spec), mj.JammerBudget(mj.db_to_linear(spec.jammer.power_db)), grid_resolution=0.002
+    )
+    line = next(l for l in out.splitlines() if l.startswith("oracle rho* = "))
+    assert line == f"oracle rho* = {oracle.rho_star:.12g} (grid 0.002, polish sweeps {oracle.iterations})"
 
 
 def test_plot_script_mentions_all_columns(tiny_scenario, tmp_path, monkeypatch):

@@ -9,6 +9,7 @@ import pytest
 
 import macjam as mj
 from macjam import optimizer as opt
+from macjam.model import _golden_section
 from macjam.optimizer import _simplex_grid
 from _support import random_budget, random_config, rate_reduction_limit, whole_grid_argmin
 
@@ -487,6 +488,100 @@ def test_reference_solvers_reproduce_recorded_bits(k):
     for name, res in results.items():
         values = [*res.alloc.as_vector(), res.rho_star, res.nu_star, res.kkt_residual]
         assert ([v.hex() for v in values], res.iterations) == expected[name], name
+
+
+def _reference_pair_descent(z, sys):
+    """The oracle's polish on NumPy arrays: every trial point is a copy of
+    ``z`` with two coordinates moved, valued whole by ``_rho_z``."""
+    z = np.array(z, dtype=float)
+    dim = z.size
+    best = opt._rho_z(z, sys)
+    for sweeps in range(1, opt.ORACLE_MAX_SWEEPS + 1):
+        start = best
+        for i in range(dim):
+            for j in range(i + 1, dim):
+                lo, hi = -z[i], z[j]
+                if hi - lo <= 1e-15:
+                    continue
+                trial = z.copy()
+
+                def phi(t):
+                    trial[i] = z[i] + t
+                    trial[j] = z[j] - t
+                    return opt._rho_z(trial, sys)
+
+                _, _, c, fc, d, fd = _golden_section(phi, lo, hi, 1e-12)
+                t_best, f_best = (c, fc) if fc <= fd else (d, fd)
+                for t_edge in (lo, hi):
+                    f_edge = phi(t_edge)
+                    if f_edge < f_best:
+                        t_best, f_best = t_edge, f_edge
+                if f_best < best:
+                    z[i] += t_best
+                    z[j] -= t_best
+                    z[i] = max(z[i], 0.0)
+                    z[j] = max(z[j], 0.0)
+                    best = f_best
+        if start - best <= opt.ORACLE_REL_TOL * max(1.0, abs(start)):
+            break
+    return z, best, sweeps
+
+
+def _oracle_pair(cfg, budget, grid_resolution, monkeypatch):
+    """``solve_oracle``, then the same solve polished by :func:`_reference_pair_descent`."""
+    res = mj.solve_oracle(cfg, budget, grid_resolution=grid_resolution)
+    with monkeypatch.context() as m:
+        m.setattr(opt, "_pair_descent", _reference_pair_descent)
+        ref = mj.solve_oracle(cfg, budget, grid_resolution=grid_resolution)
+    return res, ref
+
+
+def _oracle_bits(res):
+    return [v.hex() for v in res.alloc.as_vector()], res.rho_star.hex(), res.iterations
+
+
+def _oracle_cases(rng, ks, silent_every):
+    """Random configs over the full range, each with a grid resolution that
+    alternates between a grid start and a Dirichlet start (1e-7: over the
+    grid cap at every K)."""
+    cases = []
+    for i, k in enumerate(ks):
+        cfg = random_config(rng, k=k, p_lo=1e-3, p_hi=1e8)
+        if i % silent_every == silent_every - 1:
+            silent = replace(cfg.users[-1], data_power=0.0)
+            cfg = mj.SystemConfig(cfg.block_len, cfg.users[:-1] + (silent,))
+        grid = 1e-7 if i % 2 else (0.01 if k <= 2 else 0.1)
+        cases.append((cfg, random_budget(rng, -40.0, 100.0), grid))
+    return cases
+
+
+def test_float_polish_keeps_every_bit_of_the_array_polish_up_to_seven_users(monkeypatch):
+    # Up to 7 terms a user-order sum is ndarray.sum's, so the float polish
+    # must retrace the array polish exactly: same point, rho* and sweeps.
+    cases = _oracle_cases(np.random.default_rng(1953), [1 + i % 7 for i in range(70)], silent_every=9)
+    starts = set()
+    for cfg, budget, grid in cases:
+        res, ref = _oracle_pair(cfg, budget, grid, monkeypatch)
+        assert _oracle_bits(res) == _oracle_bits(ref), (cfg, budget, grid)
+        starts.add(math.comb(round(1.0 / grid) + cfg.n_users, cfg.n_users) <= opt.ORACLE_MAX_GRID_POINTS)
+    assert starts == {True, False}
+
+
+def test_float_polish_agrees_with_the_array_polish_from_eight_users(monkeypatch):
+    # From 8 terms NumPy sums pairwise, so the two polishes may round apart.
+    for cfg, budget, grid in _oracle_cases(np.random.default_rng(1953), [8, 9, 10, 11, 12], silent_every=5):
+        res, ref = _oracle_pair(cfg, budget, grid, monkeypatch)
+        assert res.rho_star == pytest.approx(ref.rho_star, rel=1e-13, abs=0.0), (cfg, budget, grid)
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_user_order_sum_is_ndarray_sum_up_to_seven_terms(n):
+    # The polish's bit-for-bit agreement with _rho_z up to K = 7 rests on this.
+    rng = np.random.default_rng(n)
+    for _ in range(3000):
+        scale = 10.0 ** rng.uniform(-300.0, 300.0, size=1 if rng.random() < 0.5 else n)
+        v = rng.uniform(1.0, 10.0, size=n) * scale * rng.choice([-1.0, 1.0], size=n)
+        assert opt._user_sum(v.tolist()).hex() == float(v.sum()).hex(), v.tolist()
 
 
 def test_oracle_memory_peak_stays_bounded():
