@@ -24,8 +24,8 @@ The input domain, each limit with the one function that enforces it:
   (``optimizer._energy``);
 - a jammer sweep of at most ``scenario.MAX_SWEEP_POINTS`` = 10**6 points
   (``scenario.SweepRange``);
-- an oracle grid resolution in (0, 1] with a finite reciprocal
-  (``optimizer.solve_oracle``).
+- an oracle grid resolution, which sets its start set's size, in (0, 1]
+  with a finite reciprocal (``optimizer.solve_oracle``).
 
 Known failure inside the domain: on about 3 in 1,000 random configs with
 training windows of 1 to 200 symbols, ``optimizer.solve_kkt`` raises
@@ -380,9 +380,9 @@ def rho_value(
     """:func:`objective_rho` over raw ratio arrays (no allocation validation).
 
     ``zeta_t`` has shape ``(..., K)`` and ``zeta_d`` shape ``(...)``; the two
-    broadcast together.  The optimizer's grids and line searches evaluate the
-    same function through :func:`_ratio_rho`, with the config's vectors built
-    once per solve.
+    broadcast together.  The optimizer's start sets and line searches
+    evaluate the same function through :func:`_ratio_rho`, with the config's
+    vectors built once per solve.
     """
     zt, zd = np.asarray(zeta_t, dtype=float), np.asarray(zeta_d, dtype=float)
     return _ratio_rho(zt, zd, *_config_terms(cfg, budget))

@@ -24,9 +24,23 @@ only the rows whose energy interval meets a relative ``PATH_WINDOW`` around
 E (usually one), and the one with the smallest KKT certificate wins, so the
 certificate is the one acceptance test.
 
+Why a local minimum is the global one.  With alpha_k + beta_k = pd_k the
+objective is rho = A / (1 + D + S - A), where A = sum_k alpha_k and
+D = zeta_d E / T_d.  Each alpha_k = pd_k pt_k tt_k / (1 + pt_k tt_k +
+zeta_k E / tt_k) is a nonnegative constant over a positive affine function
+of zeta_k, so A is convex and nonnegative; D is linear, so the denominator is
+concave, and it is at least 1 because alpha_k <= pd_k.  A convex nonnegative
+function over a concave positive one is pseudoconvex (Mangasarian, Nonlinear
+Programming, 1969; Schaible, Oper. Res. 24(3), 1976): every KKT point on the
+simplex, and so every local minimum there, is a global minimum.  The level
+sets {rho <= c} = {A - c (1 + D + S - A) <= 0}, c >= 0, are convex, which is
+quasiconvexity: along a segment rho never exceeds the larger endpoint.  So
+the certificate is enough, and a descent needs no global search, only a
+start.
+
 Independent cross-checks: a closed-form interior solution valid at high
-jamming power, the infinite-power limit, a brute-force simplex-grid oracle,
-and a multi-start projected gradient descent.
+jamming power, the infinite-power limit, a derivative-free multi-start
+oracle, and a multi-start projected gradient descent.
 """
 
 from __future__ import annotations
@@ -81,13 +95,7 @@ MAX_ENERGY = 1e120
 PATH_WINDOW = 1e-6
 
 # Fixed settings of the two reference solvers (oracle, projected descent).
-ORACLE_MAX_GRID_POINTS = 2_000_000  # larger grids switch to Dirichlet sampling
-# Grid rows the oracle searches at once (see _grid_blocks, _grid_min).  A block
-# of 2**14 rows holds K + 1 int64 count columns and the float vectors gathered
-# from the per-coordinate tables, 128 KiB each; a K = 2 grid search at grid
-# 1e-3 ran ~50% slower with blocks of 2**16 rows on a 2-vCPU x86 VM.
-ORACLE_BLOCK_ROWS = 2**14
-ORACLE_SEARCH_SAMPLES = 50_000
+ORACLE_SEARCH_SAMPLES = 50_000  # the most Dirichlet points in the oracle's start set
 ORACLE_SEED = 12345
 ORACLE_MAX_SWEEPS = 200
 ORACLE_REL_TOL = 1e-13  # pair descent stops when a sweep gains less, relative to rho
@@ -468,99 +476,6 @@ def solve(cfg: SystemConfig, budget: JammerBudget) -> SolveResult:
     return solve_kkt(cfg, budget)
 
 
-def _simplex_counts(dim: int, steps: int, leads: tuple[int, int] | None = None) -> tuple[np.ndarray, ...]:
-    """The integer simplex grid {c >= 0, sum c = steps}, as ``dim`` int64 count columns.
-
-    Rows come in lexicographic order; each column is its own contiguous
-    array, so a pass over a coordinate runs over all rows at once and no
-    array of whole rows is built.  ``leads = (first, stop)`` keeps only the
-    rows whose leading count lies in ``range(first, stop)``; by default all
-    of them.  Built one coordinate at a time: a partial row with ``r`` units
-    left becomes ``r + 1`` rows whose next count runs 0..r; the last count
-    takes the rest.
-    """
-    if dim == 1:
-        return (np.full(1, steps, dtype=np.int64),)
-    lead = np.arange(*(leads or (0, steps + 1)), dtype=np.int64)
-    cols, rest = [lead], steps - lead
-    for _ in range(dim - 2):
-        reps = rest + 1
-        lead = np.arange(int(reps.sum())) - np.repeat(np.cumsum(reps) - reps, reps)
-        cols = [np.repeat(c, reps) for c in cols] + [lead]
-        rest = np.repeat(rest, reps) - lead
-    return (*cols, rest)
-
-
-def _simplex_grid(dim: int, steps: int) -> np.ndarray:
-    """The points :func:`_simplex_counts` ``/ steps`` as an ``(n, dim)`` array,
-    stored column by column (Fortran order)."""
-    return (np.stack(_simplex_counts(dim, steps)) / steps).T
-
-
-def _grid_blocks(dim: int, steps: int):
-    """``_simplex_counts(dim, steps)`` in order, as blocks of whole leading counts.
-
-    Each block takes as many consecutive leading counts as fit in
-    ``ORACLE_BLOCK_ROWS`` rows, and at least one, so a block is at most
-    ``ORACLE_BLOCK_ROWS`` rows or one leading count's sub-grid, whichever is
-    larger.  The boundaries come from the sub-grid sizes, found without a
-    loop over the leading counts: leading count ``c`` heads
-    ``comb(steps - c + dim - 2, dim - 2)`` rows, the (dim - 2)-fold running
-    sum of ones at ``steps - c``.
-    """
-    sizes = np.ones(steps + 1, dtype=np.int64)
-    for _ in range(dim - 2):
-        sizes = sizes.cumsum()
-    ends = sizes[::-1].cumsum()  # rows up to and including each leading count
-    first = 0
-    while first <= steps:
-        start = int(ends[first - 1]) if first else 0
-        stop = max(first + 1, int(np.searchsorted(ends, start + ORACLE_BLOCK_ROWS, side="right")))
-        yield _simplex_counts(dim, steps, (first, stop))
-        first = stop
-
-
-def _grid_min(dim: int, steps: int, sys: _Sys):
-    """The first point of least objective on ``_simplex_grid(dim, steps)``, and its value.
-
-    Every coordinate of a grid point is one of the ``steps + 1`` values
-    ``c / steps``, so alpha and beta (per user) and gamma are tabulated once
-    on them, and each block of counts gathers its rows' terms from the
-    tables.  The user sums run column by column, in user order, as
-    :func:`_rho_z` sums a column-ordered block, and the value is the same
-    ``gamma A / (1 + gamma B)``: every value is bit for bit the one
-    ``_rho_z`` gives on the grid.  Blocks are taken in order, and a later
-    block wins only when strictly lower.
-    """
-    z = np.arange(steps + 1) / steps
-    # The per-user vectors as columns: alphas and betas get one row per user.
-    alphas, betas, gamma = _ratio_terms(z, z, sys.pt[:, None], sys.pd[:, None], sys.tt[:, None], sys.energy, sys.Td)
-    best_counts = best = None
-    for counts in _grid_blocks(dim, steps):
-        a, b = alphas[0].take(counts[0]), betas[0].take(counts[0])
-        for k in range(1, dim - 1):
-            a += alphas[k].take(counts[k])
-            b += betas[k].take(counts[k])
-        g = gamma.take(counts[-1])
-        vals = g * a / (1.0 + g * b)
-        i = int(np.argmin(vals))
-        if best is None or vals[i] < best:
-            best_counts, best = [c[i] for c in counts], vals[i]
-    return np.array(best_counts) / steps, best
-
-
-@functools.lru_cache(maxsize=1)
-def _dirichlet_starts(dim: int) -> np.ndarray:
-    """The oracle's start set above the grid cap: the simplex vertices, its
-    center and ``ORACLE_SEARCH_SAMPLES`` Dirichlet points from ``ORACLE_SEED``,
-    one read-only column-ordered ``(n, dim)`` array, kept for the last ``dim``."""
-    rng = np.random.default_rng(ORACLE_SEED)
-    samples = rng.dirichlet(np.ones(dim), size=ORACLE_SEARCH_SAMPLES)
-    starts = np.asfortranarray(np.concatenate([np.eye(dim), np.full((1, dim), 1.0 / dim), samples]))
-    starts.flags.writeable = False
-    return starts
-
-
 def _user_sum(values):
     """``values`` summed left to right, in user order.  Up to 7 terms that is
     the order, and so the bits, of ``ndarray.sum``; from 8 NumPy sums
@@ -580,7 +495,7 @@ def _pair_descent(z, sys: _Sys):
     recomputes with :func:`_ratio_terms` only the two terms it moves, user
     i's and either user j's or gamma (j the data coordinate), and forms
     ``gamma A / (1 + gamma B)`` with the user sums in user order
-    (:func:`_user_sum`, as :func:`_grid_min` sums).  Up to 7 users every
+    (:func:`_user_sum`).  Up to 7 users every
     value is bit for bit the :func:`_rho_z` of the trial point; from 8 a
     value may round apart from it in the last bits.
     """
@@ -626,40 +541,30 @@ def _pair_descent(z, sys: _Sys):
                     if not data:
                         alphas[j], betas[j], _ = terms(j, z[j], z[-1])
                     best = f_best
-        if start - best <= ORACLE_REL_TOL * max(1.0, abs(start)):
+        if start - best <= ORACLE_REL_TOL * abs(start):
             break
     return np.array(z), best, sweeps
 
 
 def solve_oracle(cfg: SystemConfig, budget: JammerBudget, grid_resolution: float = 1e-3) -> SolveResult:
-    """Brute-force reference: exhaustive simplex grid plus pairwise-descent polish.
+    """Derivative-free reference: the best of a seeded start set, then a pairwise-descent polish.
 
-    The grid search (:func:`_grid_min`) tabulates alpha, beta (per user) and
-    gamma once on the ``steps + 1`` coordinate values ``c / steps``, then
-    walks the grid in lexicographic order, in blocks of whole leading counts
-    (:func:`_grid_blocks`: at most ``ORACLE_BLOCK_ROWS`` = 16,384 rows, or
-    one leading count's sub-grid where that alone is larger).  A block holds
-    K + 1 int64 count columns; each row's terms are gathered from the tables
-    and summed over the users in user order, the sum a column-ordered grid
-    array gets, so with K >= 8 users a value may round differently from a
-    sum along rows.  Only the winning row becomes a point.  The polish
-    starts from the first row of least objective, a later block winning only
-    when strictly lower, which is the row one argmin over the whole grid
-    would pick.  So a K = 2 solve at grid 1e-3 (501,501 rows) keeps its
-    traced memory peak under 16 MiB (about 1.4 MiB), where one array of the
-    whole grid took about 50 MiB.  When the grid would exceed 2,000,000
-    points (``ORACLE_MAX_GRID_POINTS``) the start is the best of 50,000
-    Dirichlet samples from the fixed seed ``ORACLE_SEED`` plus the simplex
-    vertices and center; that set is drawn once, kept read-only and reused
-    by the next call with as many users (:func:`_dirichlet_starts`), and the
-    start row is copied out of it.  The polish does the precision work
-    either way.  It runs on Python floats (:func:`_pair_descent`): a trial
-    recomputes only the two terms it moves, and the user sums run in user
-    order, the grid's order, so up to 7 users every trial value is the
-    one ``_rho_z`` gives at the trial point.  From 8 users NumPy sums a
-    point pairwise, and the polish may end a few ulps from where one on
-    NumPy arrays would.  ``iterations`` is the polish's sweep count.
-    Only intended for tests and diagnostics.
+    The start set is the simplex vertices, its center and
+    ``min(round(1 / grid_resolution), ORACLE_SEARCH_SAMPLES)`` Dirichlet
+    points drawn from the fixed seed ``ORACLE_SEED`` on each call, so a
+    finer ``grid_resolution`` means a denser start set (1e-3: 1,000 points)
+    and the result is reproducible.  The polish (:func:`_pair_descent`)
+    starts from the first start of least objective and does the precision
+    work; it stops once a sweep gains at most ``ORACLE_REL_TOL`` of the
+    objective, relative at every scale of rho.  No grid search is needed:
+    rho is pseudoconvex on the simplex (module docstring), so a point that
+    no pairwise transfer improves is a KKT point and a global minimum, and
+    the start only sets how far the polish travels.  The polish runs on
+    Python floats with the user sums in user order, so up to 7 users every
+    trial value is the one ``_rho_z`` gives at the trial point; from 8 users
+    NumPy sums a point pairwise, and the polish may end a few ulps from
+    where one on NumPy arrays would.  ``iterations`` is the polish's sweep
+    count.  Only intended for tests and diagnostics.
     ``grid_resolution`` must lie in (0, 1] with a finite reciprocal; any
     other value, NaN included, is a ``ValueError``.
     """
@@ -669,13 +574,10 @@ def solve_oracle(cfg: SystemConfig, budget: JammerBudget, grid_resolution: float
         )
     sys = _sys(cfg, budget)
     dim = cfg.n_users + 1
-    steps = round(1.0 / grid_resolution)
-    if math.comb(steps + dim - 1, dim - 1) <= ORACLE_MAX_GRID_POINTS:
-        z0, _ = _grid_min(dim, steps, sys)
-    else:
-        starts = _dirichlet_starts(dim)
-        z0 = starts[int(np.argmin(_rho_z(starts, sys)))].copy()
-    z, _, sweeps = _pair_descent(z0, sys)
+    samples = min(round(1.0 / grid_resolution), ORACLE_SEARCH_SAMPLES)
+    rng = np.random.default_rng(ORACLE_SEED)
+    starts = np.concatenate([np.eye(dim), np.full((1, dim), 1.0 / dim), rng.dirichlet(np.ones(dim), size=samples)])
+    z, _, sweeps = _pair_descent(starts[int(np.argmin(_rho_z(starts, sys)))], sys)
     return _build_result(sys, z, METHOD_ORACLE, sweeps)
 
 
@@ -702,10 +604,11 @@ def _descend(z0, sys: _Sys):
     step = 1.0
     iters = 0
     for _ in range(DESCENT_MAX_ITER):
-        # Scale-free first-order test; the projected gradient inherits the
-        # magnitude of the gradient, so the threshold must as well.
-        pg = z - _project_simplex(z - g)
-        if float(np.max(np.abs(pg))) <= DESCENT_TOL * float(np.max(np.abs(g))):
+        # Scale-free first-order test on the gradient scaled to max|g| = 1: on
+        # the simplex |z - P(z - g)| is at most 1, so an unscaled test against
+        # DESCENT_TOL * max|g| holds at every point once max|g| > 1 / DESCENT_TOL.
+        g_max = float(np.max(np.abs(g)))
+        if g_max == 0.0 or float(np.max(np.abs(z - _project_simplex(z - g / g_max)))) <= DESCENT_TOL:
             break
         moved = False
         trial = min(step, 1e12)

@@ -3,7 +3,6 @@
 import numpy as np
 
 import macjam as mj
-from macjam.optimizer import _rho_z, _simplex_grid
 
 
 def random_user(rng, p_lo=0.1, p_hi=100.0, max_train_len=3):
@@ -50,14 +49,3 @@ def rate_reduction_limit(cfg):
         cfg.block_len**2 * (tt * pd * pt).sum()
     )
 
-
-def whole_grid_argmin(dim, steps, sys):
-    """The oracle's grid start as one argmin over the whole grid in row (C) order.
-
-    The reference for the oracle's blocked search: returns the first row of
-    least objective and its value.
-    """
-    grid = np.ascontiguousarray(_simplex_grid(dim, steps))
-    vals = _rho_z(grid, sys)
-    i = int(np.argmin(vals))
-    return grid[i], vals[i]
