@@ -215,13 +215,17 @@ def _print_result(result: SolveResult) -> None:
 
 
 def _load_point(args) -> tuple[ScenarioSpec, SystemConfig, float, JammerBudget]:
-    """Scenario, config and P_w (dB, linear) of a one-point command: ``--pw-db`` or ``power_db``."""
+    """Scenario, config and P_w (dB, linear) of a one-point command: ``--pw-db`` or ``power_db``.
+
+    A ``P_w T`` above the solvers' limit is rejected here, before anything is printed."""
     spec = load_scenario(args.scenario)
     cfg = to_system_config(spec)
     pw_db = args.pw_db if args.pw_db is not None else spec.jammer.power_db
     if pw_db is None:
         raise ScenarioError("scenario defines a sweep; pass --pw-db to pick a single point")
-    return spec, cfg, pw_db, JammerBudget(db_to_linear(pw_db))
+    budget = JammerBudget(db_to_linear(pw_db))
+    _energy(cfg, budget)
+    return spec, cfg, pw_db, budget
 
 
 @dataclass(frozen=True)

@@ -40,7 +40,7 @@ start.
 
 Independent cross-checks: a closed-form interior solution valid at high
 jamming power, the infinite-power limit, a derivative-free multi-start
-oracle, and a multi-start projected gradient descent.
+oracle, and a gradient pair descent from one start.
 """
 
 from __future__ import annotations
@@ -99,16 +99,14 @@ ORACLE_SEARCH_SAMPLES = 50_000  # the most Dirichlet points in the oracle's star
 ORACLE_SEED = 12345
 ORACLE_MAX_SWEEPS = 200
 ORACLE_REL_TOL = 1e-13  # pair descent stops when a sweep gains less, relative to rho
-DESCENT_TOL = 1e-9
+DESCENT_TOL = 1e-9  # descent stops once every gap g_i - min g is at most this share of |g|
 DESCENT_MAX_ITER = 5000
-DESCENT_SEED = 777
 
 # The one UserParams field in which a user pair differs, per corollary.
 _COROLLARY_FIELD = {1: "data_power", 2: "train_power", 3: "train_len"}
 
 METHOD_KKT = "kkt_active_set"
 METHOD_CLOSED_FORM = "closed_form"
-METHOD_ASYMPTOTIC = "asymptotic"
 METHOD_ORACLE = "oracle"
 METHOD_DESCENT = "projected_descent"
 
@@ -129,8 +127,8 @@ class SolveResult:
     first and the data coordinate last; ``active_set`` lists the coordinate
     indices pinned at zero in the same indexing (index K is the data phase).
     ``iterations`` is, per method: the path rows solved (KKT), 0 (closed
-    form), the polish sweeps (oracle) and the descent steps (projected
-    descent).
+    form), the polish sweeps (oracle) and the pair transfers taken
+    (projected descent).
     """
 
     alloc: JammerAllocation
@@ -581,78 +579,63 @@ def solve_oracle(cfg: SystemConfig, budget: JammerBudget, grid_resolution: float
     return _build_result(sys, z, METHOD_ORACLE, sweeps)
 
 
-def _project_simplex(v: np.ndarray) -> np.ndarray:
-    u = np.sort(v)[::-1]
-    shifted = np.cumsum(u) - 1.0
-    idx = np.arange(1, v.size + 1)
-    keep = u - shifted / idx > 0.0
-    if not keep.any():
-        # In exact arithmetic index 1 always qualifies; against entries of
-        # ~1e16 and up rounding loses the 1.  A shift that puts the largest
-        # entry at 0 keeps the projection and makes index 1 qualify exactly
-        # (entries below -1 project to 0: clipping them at -2 keeps them finite).
-        with np.errstate(over="ignore"):
-            return _project_simplex(np.maximum(v - u[0], -2.0))
-    r = int(idx[keep][-1])
-    return np.maximum(v - shifted[r - 1] / r, 0.0)
-
-
 def _descend(z0, sys: _Sys):
-    z = _project_simplex(np.asarray(z0, dtype=float))
+    """Gradient pair descent from ``z0``.  Each step moves mass to the coordinate
+    ``up`` of least gradient from a positive one: the first, in order of
+    first-order gain ``(g_i - g_up) z_i``, whose line search (golden section plus
+    the edge that pins it at 0) lowers rho.  Returns the end, its rho and the
+    step count.
+    """
+    z = np.array(z0, dtype=float)
     f = _rho_z(z, sys)
-    g = _grad_z(sys, z)
-    step = 1.0
-    iters = 0
-    for _ in range(DESCENT_MAX_ITER):
-        # Scale-free first-order test on the gradient scaled to max|g| = 1: on
-        # the simplex |z - P(z - g)| is at most 1, so an unscaled test against
-        # DESCENT_TOL * max|g| holds at every point once max|g| > 1 / DESCENT_TOL.
-        g_max = float(np.max(np.abs(g)))
-        if g_max == 0.0 or float(np.max(np.abs(z - _project_simplex(z - g / g_max)))) <= DESCENT_TOL:
+    steps = 0
+    while steps < DESCENT_MAX_ITER:
+        g = _grad_z(sys, z)
+        up = int(np.argmin(g))
+        pos = z > 0.0
+        gap = np.where(pos, g - g[up], 0.0)
+        # Relative to |g| over up and the positive coordinates only: a pinned
+        # coordinate's gradient can be far larger and would stop it early.
+        if gap.max() <= DESCENT_TOL * max(abs(g[up]), np.abs(g[pos]).max()):
             break
-        moved = False
-        trial = min(step, 1e12)
-        while trial > 1e-20:
-            cand = _project_simplex(z - trial * g)
-            decrease = float(g @ (cand - z))
-            if decrease < 0.0 and _rho_z(cand, sys) <= f + 1e-4 * decrease:
-                moved = True
+        downs = np.flatnonzero(gap > 0.0)
+        for down in downs[np.argsort(-(gap * z)[downs], kind="stable")]:
+            z_down = z[down]
+
+            def move(t):
+                trial = z.copy()
+                trial[up] += t
+                trial[down] = z_down - t
+                return trial
+
+            # 1e-12 * z_down underflows to 0 for a subnormal z_down, and at a
+            # tolerance of 0 golden section need not end.
+            tol = max(1e-12 * z_down, 1e-300)
+            _, _, c, fc, d, fd = _golden_section(lambda t: _rho_z(move(t), sys), 0.0, z_down, tol)
+            ends = ((c, fc), (d, fd), (z_down, _rho_z(move(z_down), sys)))
+            t_best, f_best = min(ends, key=operator.itemgetter(1))
+            if f_best < f:
+                z, f = move(t_best), f_best
+                steps += 1
                 break
-            trial *= 0.5
-        iters += 1
-        if not moved:
-            break  # step underflow: at floating-point resolution of the optimum
-        g_new = _grad_z(sys, cand)
-        dz = cand - z
-        dg = g_new - g
-        curv = float(dz @ dg)
-        # Barzilai-Borwein step for the next iteration, Armijo-safeguarded above.
-        step = float(dz @ dz) / curv if curv > 0.0 else trial * 2.0
-        z, f, g = cand, _rho_z(cand, sys), g_new
-    return z, f, iters
+        else:
+            break
+    return z, f, steps
 
 
 def solve_projected_descent(cfg: SystemConfig, budget: JammerBudget) -> SolveResult:
-    """Multi-start projected gradient descent with Armijo backtracking.
+    """Gradient pair descent (:func:`_descend`) from the duration-proportional split.
 
-    Defense-in-depth companion to :func:`solve_kkt`: it relies only on the
-    objective and its gradient, never on the stationarity rearrangement.  The
-    five starts (duration-proportional, training only, data only, the
-    infinite-budget limit and one seeded random point) keep a single poor
-    start from deciding the result; the first of equally good ends is kept.
+    Defense in depth for :func:`solve_kkt`: it reads only rho and its gradient,
+    never the path or the stationarity equations, and unlike the oracle's
+    polish the gradient picks each pair and sets the stop.  One start suffices:
+    rho is pseudoconvex on the simplex (module docstring).  The public name
+    keeps "projected": each step follows the gradient projected onto an edge
+    of the simplex, so no point needs projecting back.
     """
     sys = _sys(cfg, budget)
-    k = cfg.n_users
-    rng = np.random.default_rng(DESCENT_SEED)
-    starts = [
-        uniform_allocation(cfg).as_vector(),
-        np.append(np.full(k, 1.0 / k), 0.0),
-        np.append(np.zeros(k), 1.0),
-        solve_asymptotic(cfg).as_vector(),
-        rng.dirichlet(np.ones(k + 1)),
-    ]
-    z, _, iters = min((_descend(z0, sys) for z0 in starts), key=lambda end: end[1])
-    return _build_result(sys, z, METHOD_DESCENT, iters)
+    z, _, steps = _descend(uniform_allocation(cfg).as_vector(), sys)
+    return _build_result(sys, z, METHOD_DESCENT, steps)
 
 
 def check_corollary_orderings(result: SolveResult, cfg: SystemConfig) -> list[OrderingVerdict]:

@@ -384,6 +384,7 @@ BLOCK_LEN_LIMIT = "block_len exceeds the limit MAX_BLOCK_LEN = 2**53"
         # P_w T above optimizer.MAX_ENERGY: 2000 dB at T = 20, and from 1195 dB at T = 10.
         (TWO_USER_POINT, ["optimize", "--pw-db", "2000"], "P_w T = 1.9999999999999998e+201 exceeds the limit 1e+120"),
         (TWO_USER_POINT, ["rates", "--alloc", "optimal", "--pw-db", "2000"], "P_w T = 1.9999999999999998e+201"),
+        (TWO_USER_POINT, ["rates", "--alloc", "uniform", "--pw-db", "2000"], "P_w T = 1.9999999999999998e+201"),
         (TWO_USER_POINT, ["oracle-check", "--pw-db", "2000"], "P_w T = 1.9999999999999998e+201"),
         (TINY.replace("max_db: 10.0", "max_db: 1300.0"), ["sweep"], "P_w T = 3.1622776601683794e+120 exceeds"),
         # A block length beyond model.MAX_BLOCK_LEN, checked before a budget-form user is split.
@@ -396,7 +397,7 @@ BLOCK_LEN_LIMIT = "block_len exceeds the limit MAX_BLOCK_LEN = 2**53"
     ],
     ids=["user_db", "jammer_db", "pw_db", "rates_pw_db", "oracle_pw_db", "sweep_db",
          "budget_train_len_0", "budget_tiny_avg_power", "sweep_point_count", "sweep_point_cap",
-         "energy", "rates_energy", "oracle_energy", "sweep_energy",
+         "energy", "rates_energy", "rates_uniform_energy", "oracle_energy", "sweep_energy",
          "block_len", "rates_block_len", "budget_block_len", "rates_budget_block_len",
          "grid_0", "grid_negative", "grid_2", "grid_inf", "grid_nan"],
 )
@@ -407,7 +408,8 @@ def test_out_of_range_scenario_values_are_configuration_errors(tmp_path, capsys,
     extra = ["--outdir", str(out)] if argv[0] == "sweep" else []
     extra += ["--out", str(out)] if argv[0] == "optimize" else []
     assert main([argv[0], str(path), *argv[1:], *extra]) == 2
-    err = capsys.readouterr().err
+    out_text, err = capsys.readouterr()
+    assert out_text == ""
     assert err.startswith("error: ") and message in err, err
     assert "Traceback" not in err
     assert not out.exists()
