@@ -13,11 +13,9 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.random import Generator, Philox, SeedSequence
 
 from .model import (
     JammerAllocation,
@@ -103,7 +101,11 @@ def _draw_block(
     """Unit-mean exponentials of one block, built in the array the generator fills.
 
     ``out``, if given, is that ``(count, n_users)`` C-contiguous array."""
-    e = Generator(Philox(SeedSequence([seed, block]))).random((count, n_users), out=out)
+    # Reached through ``np.random``, which numpy >= 2 loads on first access, so
+    # that ``import macjam`` does not load it for callers that draw no sample.
+    e = np.random.Generator(np.random.Philox(np.random.SeedSequence([seed, block]))).random(
+        (count, n_users), out=out
+    )
     # Inverse-CDF exponentials -log1p(-u) keep the draw count per sample fixed.
     np.negative(e, out=e)
     np.log1p(e, out=e)
@@ -203,6 +205,9 @@ def sum_rate_mc(
         # at what can run at once.
         threads = min(workers, len(blocks), os.cpu_count() or 1)
         if threads > 1:
+            # Imported on first use, so that ``import macjam`` does not load it.
+            from concurrent.futures import ThreadPoolExecutor
+
             with ThreadPoolExecutor(max_workers=threads) as pool:
                 stats = list(
                     pool.map(lambda b: _reduce(_draw_block(mc.seed, *b, k), coeffs, pref), blocks)

@@ -16,8 +16,6 @@ from dataclasses import asdict, dataclass, fields
 from importlib import resources
 from pathlib import Path
 
-import yaml
-
 from .model import SystemConfig, UserParams, _golden_section, _require_lengths
 from .rates import EULER_GAMMA, MonteCarloSettings
 
@@ -184,6 +182,10 @@ def _check_output(stem) -> str:
 
 def _load_yaml(text: str, source: str):
     """``yaml.safe_load`` of ``text``; any parse failure is a ``ScenarioError`` naming ``source``."""
+    # PyYAML is imported by the two functions that use it, so that ``import
+    # macjam`` does not load it for callers that never read or write a file.
+    import yaml
+
     try:
         return yaml.safe_load(text)
     except (yaml.YAMLError, ValueError) as exc:
@@ -229,6 +231,8 @@ def load_scenario(path) -> ScenarioSpec:
 
 def dump_scenario(spec: ScenarioSpec) -> str:
     """The scenario file of ``spec``: its fields in order, unset (``None``) ones left out."""
+    import yaml
+
     doc = asdict(spec, dict_factory=lambda items: {k: v for k, v in items if v is not None})
     doc["users"] = list(doc["users"])
     return yaml.safe_dump(doc, sort_keys=False)

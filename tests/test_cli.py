@@ -1,3 +1,6 @@
+import contextlib
+import copy
+import io
 import math
 import re
 import runpy
@@ -8,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 import yaml
+from hypothesis import given, settings, strategies as st
 
 import macjam as mj
 from macjam.cli import csv_columns, main
@@ -449,3 +453,74 @@ def test_solver_failure_exits_1(tmp_path, capsys, monkeypatch):
     err = capsys.readouterr().err
     assert err.startswith("solver failure: sweep failed at P_w = 0.0 dB: no certified candidate")
     assert not (tmp_path / "out").exists()
+
+
+# A valid one-point scenario, with a budget-form user; each case below breaks it once.
+POINT = {
+    "block_len": 20,
+    "users": [
+        {"train_len": 1, "train_power_db": 10.0, "data_power_db": 10.0},
+        {"train_len": 1, "avg_power_db": 10.0},
+    ],
+    "jammer": {"power_db": 5.0},
+    "mc": {"samples": 2000, "seed": 3},
+    "output": "point",
+}
+# Each is a YAML syntax or construction error after a complete document; the
+# date is one that YAML's syntax accepts but Python cannot hold.
+BAD_YAML_TAILS = ["users: [1, 2", "jammer: {power_db: 5.0", "output: 'point", "\tx: 1", "? [1]\n: 2",
+                  "- x", ": :", "seed: 2001-13-45", "%YAML 1.1"]
+NUMERIC_FIELDS = [("block_len",), ("users", 0, "train_len"), ("users", 0, "train_power_db"),
+                  ("users", 0, "data_power_db"), ("users", 1, "train_len"), ("users", 1, "avg_power_db"),
+                  ("jammer", "power_db"), ("mc", "samples"), ("mc", "seed")]
+DB_FIELDS = [f for f in NUMERIC_FIELDS if f[-1].endswith("_db")]
+
+
+def _with(path, value) -> str:
+    doc = copy.deepcopy(POINT)
+    *parents, key = path
+    target = doc
+    for step in parents:
+        target = target[step]
+    target[key] = value
+    return yaml.safe_dump(doc, sort_keys=False)
+
+
+def _beyond_domain():
+    valid = yaml.safe_dump(POINT, sort_keys=False)
+    malformed = st.one_of(
+        st.sampled_from(BAD_YAML_TAILS).map(lambda tail: valid + tail + "\n"),
+        # Any short text: a parse error, not a mapping, or missing keys.
+        st.text(max_size=40),
+    )
+    # 3,100 dB and up overflow a float's linear power.
+    overflowing_db = st.builds(_with, st.sampled_from(DB_FIELDS), st.floats(min_value=3100.0))
+    short = st.one_of(
+        st.builds(_with, st.sampled_from([("users", 0, "train_len"), ("users", 1, "train_len")]),
+                  st.integers(max_value=0)),
+        # Two users train for one symbol each, so no data phase is left at 2 or below.
+        st.builds(_with, st.just(("block_len",)), st.integers(max_value=2)),
+        st.builds(_with, st.just(("mc", "samples")), st.integers(max_value=0)),
+    )
+    non_numeric = st.builds(
+        _with,
+        st.sampled_from(NUMERIC_FIELDS),
+        st.one_of(st.text(max_size=8), st.booleans(), st.none(), st.lists(st.integers(), max_size=2),
+                  st.dictionaries(st.text(max_size=3), st.integers(), max_size=2)),
+    )
+    return st.one_of(malformed, overflowing_db, short, non_numeric)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_beyond_domain(), st.sampled_from([["optimize"], ["rates", "--alloc", "uniform"], ["oracle-check"]]))
+def test_scenario_beyond_the_domain_is_one_error_line(tmp_path_factory, text, argv):
+    path = tmp_path_factory.getbasetemp() / "beyond.scenario"
+    path.write_text(text)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main([argv[0], str(path), *argv[1:]])
+    assert code == 2, (code, err.getvalue())
+    assert out.getvalue() == ""
+    assert err.getvalue().startswith("error: ")
+    assert sum(line.startswith("error:") for line in err.getvalue().splitlines()) == 1
+    assert "Traceback" not in err.getvalue()

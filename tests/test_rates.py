@@ -1,3 +1,4 @@
+import concurrent.futures
 import math
 import os
 import tracemalloc
@@ -238,7 +239,7 @@ def test_thread_pool_is_capped_at_blocks_and_cpus(monkeypatch, cpus, samples, po
     mc = mj.MonteCarloSettings(samples=samples, seed=8)
     expected = mj.sum_rate_mc(alloc, cfg, budget, mc)
     monkeypatch.setattr(_InlinePool, "sizes", [])
-    monkeypatch.setattr(mj.rates, "ThreadPoolExecutor", _InlinePool)
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", _InlinePool)
     monkeypatch.setattr(os, "cpu_count", lambda: cpus)
     assert mj.sum_rate_mc(alloc, cfg, budget, mc, workers=1_000_000) == expected
     assert _InlinePool.sizes == ([] if pool_size is None else [pool_size])
