@@ -38,6 +38,18 @@ quasiconvexity: along a segment rho never exceeds the larger endpoint.  So
 the certificate is enough, and a descent needs no global search, only a
 start.
 
+Arithmetic.  A solve is O(K) scalar work, so the primary solver (closed
+form, path, exact row solves, gradient, certificate) runs on Python floats;
+only batch evaluation over many points, the oracle's start set and
+``model.rho_value``, stays on NumPy arrays.  Two rules give it the bits of
+the same formulas evaluated on NumPy vectors.  Sums: every sum over users
+is :func:`_user_sum`, which adds from 0.0 left to right up to 7 terms and
+hands 8 or more to NumPy's pairwise sum, as ``ndarray.sum`` does.
+Squares: ``** 2`` on an array multiplies, but on a scalar (a Python float
+or a NumPy scalar) it calls libm ``pow``, which can round differently; so a
+per-user square is written ``x * x`` and a square of one scalar for all
+users, ``(E zeta_d + T_d) ** 2`` and ``e_fac ** 2``, stays ``** 2``.
+
 Independent cross-checks: a closed-form interior solution valid at high
 jamming power, the infinite-power limit, a derivative-free multi-start
 oracle, and a gradient pair descent from one start.
@@ -45,7 +57,9 @@ oracle, and a gradient pair descent from one start.
 
 from __future__ import annotations
 
+import bisect
 import functools
+import itertools
 import math
 import operator
 from dataclasses import dataclass, fields
@@ -58,6 +72,7 @@ from .model import (
     JammerBudget,
     SystemConfig,
     UserParams,
+    _config_terms,
     _golden_section,
     _ratio_rho,
     _ratio_terms,
@@ -154,15 +169,15 @@ class OrderingVerdict:
 
 
 class _Sys(NamedTuple):
-    pt: np.ndarray
-    pd: np.ndarray
-    tt: np.ndarray
+    pt: tuple[float, ...]
+    pd: tuple[float, ...]
+    tt: tuple[float, ...]
     T: float
     Td: float
     energy: float  # P_w * T
     S: float       # sum of data powers
-    w: np.ndarray  # tt * sqrt(pd pt): free training denominators are proportional to it
-    x: np.ndarray  # tt * (1 + pt tt): training denominator with no jamming
+    w: tuple[float, ...]  # tt * sqrt(pd pt): free training denominators are proportional to it
+    x: tuple[float, ...]  # tt * (1 + pt tt): training denominator with no jamming
 
 
 def _energy(cfg: SystemConfig, budget: JammerBudget) -> float:
@@ -174,7 +189,9 @@ def _energy(cfg: SystemConfig, budget: JammerBudget) -> float:
 
 
 def _sys(cfg: SystemConfig, budget: JammerBudget) -> _Sys:
-    pt, pd, tt = cfg.train_power_vec(), cfg.data_power_vec(), cfg.train_len_vec()
+    pt = tuple([u.train_power for u in cfg.users])
+    pd = tuple([u.data_power for u in cfg.users])
+    tt = tuple([float(u.train_len) for u in cfg.users])
     return _Sys(
         pt=pt,
         pd=pd,
@@ -182,47 +199,89 @@ def _sys(cfg: SystemConfig, budget: JammerBudget) -> _Sys:
         T=float(cfg.block_len),
         Td=float(cfg.data_len),
         energy=_energy(cfg, budget),
-        S=float(pd.sum()),
-        w=tt * np.sqrt(pd * pt),
-        x=tt * (1.0 + pt * tt),
+        S=_user_sum(pd),
+        w=tuple([t * math.sqrt(d * p) for p, d, t in zip(pt, pd, tt)]),
+        x=tuple([t * (1.0 + p * t) for p, t in zip(pt, tt)]),
     )
+
+
+def _user_sum(values) -> float:
+    """The sum of the sequence ``values`` with the bits of ``ndarray.sum``:
+    from 0.0 left to right up to 7 terms, and NumPy's own pairwise sum from
+    8.  (Not ``sum``, which compensates from Python 3.12.)"""
+    if len(values) < 8:
+        return functools.reduce(operator.add, values, 0.0)
+    return float(np.add.reduce(values))
+
+
+def _nan_or(extreme, values) -> float:
+    """``extreme`` (``min`` or ``max``) of ``values``, or NaN where any value is
+    NaN, as ``ndarray.min`` and ``ndarray.max`` give."""
+    return math.nan if any(map(math.isnan, values)) else extreme(values)
+
+
+def _nan_last(value: float):
+    """Search key of NumPy's float order, NaN after every number (inf included)."""
+    return (math.isnan(value), value)
+
+
+def _quotients(numerators, divisor: float) -> list[float]:
+    """Each numerator over ``divisor``; a zero divisor gives NumPy's ``inf`` or
+    NaN where Python would raise ``ZeroDivisionError``."""
+    if divisor:
+        return [a / divisor for a in numerators]
+    return [a * math.copysign(math.inf, divisor) for a in numerators]
 
 
 def _flat(sys: _Sys) -> bool:
     """A zero budget, or no user with ``w > 0``: every allocation is then optimal."""
-    return sys.energy == 0.0 or not sys.w.any()
+    return sys.energy == 0.0 or not any(sys.w)
 
 
-def _grad(sys: _Sys, zt: np.ndarray, zd: float) -> tuple[np.ndarray, float]:
-    q = 1.0 + zt * sys.energy / sys.tt
-    s = sys.pt * sys.tt / q
-    alpha = sys.pd * s / (1.0 + s)
-    beta = sys.pd / (1.0 + s)
-    gamma = 1.0 / (1.0 + zd * sys.energy / sys.Td)
-    e_fac = 1.0 + gamma * beta.sum()
-    d_t = sys.energy * zt + sys.x
-    g_t = -sys.energy * gamma * sys.pd * sys.pt * sys.tt**2 * (1.0 + gamma * sys.S) / (
-        d_t**2 * e_fac**2
-    )
-    g_d = -sys.energy * sys.Td * alpha.sum() / ((sys.energy * zd + sys.Td) ** 2 * e_fac**2)
-    return g_t, float(g_d)
+def _grad(sys: _Sys, zt, zd: float) -> tuple[list[float], float]:
+    energy, pd = sys.energy, sys.pd
+    s = [p * t / (1.0 + z * energy / t) for z, p, t in zip(zt, sys.pt, sys.tt)]
+    gamma = 1.0 / (1.0 + zd * energy / sys.Td)
+    e_fac2 = (1.0 + gamma * _user_sum([d / (1.0 + s_k) for d, s_k in zip(pd, s)])) ** 2
+    scale, c = -energy * gamma, 1.0 + gamma * sys.S
+    d_t = [energy * z + x for z, x in zip(zt, sys.x)]
+    g_t = [scale * d * p * (t * t) * c / ((v * v) * e_fac2) for d, p, t, v in zip(pd, sys.pt, sys.tt, d_t)]
+    alpha_sum = _user_sum([d * s_k / (1.0 + s_k) for d, s_k in zip(pd, s)])
+    g_d = -energy * sys.Td * alpha_sum / ((energy * zd + sys.Td) ** 2 * e_fac2)
+    return g_t, g_d
 
 
-def _grad_z(sys: _Sys, z: np.ndarray) -> np.ndarray:
-    """The gradient at the point ``z`` (data ratio last), as one vector."""
-    g_t, g_d = _grad(sys, z[:-1], float(z[-1]))
-    return np.append(g_t, g_d)
+def _grad_z(sys: _Sys, z) -> list[float]:
+    """The gradient at the point ``z`` (data ratio last), as one list."""
+    g_t, g_d = _grad(sys, z[:-1], z[-1])
+    g_t.append(g_d)
+    return g_t
 
 
-def _rho_z(z: np.ndarray, sys: _Sys):
-    """The objective at the points ``z`` (data ratio last), over leading axes."""
-    return _ratio_rho(z[..., :-1], z[..., -1], sys.pt, sys.pd, sys.tt, sys.energy, sys.Td)
+def _rho_z(z, sys: _Sys) -> float:
+    """The objective at the point ``z`` (data ratio last)."""
+    zd, energy, t_d = z[-1], sys.energy, sys.Td
+    alphas, betas, gammas = zip(*[
+        _ratio_terms(zk, zd, p, d, t, energy, t_d) for zk, p, d, t in zip(z, sys.pt, sys.pd, sys.tt)
+    ])
+    gamma = gammas[0]
+    return gamma * _user_sum(alphas) / (1.0 + gamma * _user_sum(betas))
+
+
+def _ratios(zeta_t, users: int) -> list[float]:
+    """The training ratios given to a public function, as ``users`` floats."""
+    return np.broadcast_to(np.asarray(zeta_t, dtype=float), (users,)).tolist()
 
 
 def rho_gradient(zeta_t, zeta_d, cfg: SystemConfig, budget: JammerBudget):
-    """Analytic gradient of the objective in the raw ratio coordinates."""
+    """Analytic gradient of the objective in the raw ratio coordinates.
+
+    Ratios >= 0 keep every denominator positive; negative ratios that make
+    one exactly 0 raise ``ZeroDivisionError``, as does :func:`evaluate_kkt`.
+    """
     sys = _sys(cfg, budget)
-    return _grad(sys, np.asarray(zeta_t, dtype=float), float(zeta_d))
+    g_t, g_d = _grad(sys, _ratios(zeta_t, cfg.n_users), float(zeta_d))
+    return np.array(g_t), g_d
 
 
 def evaluate_kkt(zeta_t, zeta_d, nu: float, cfg: SystemConfig, budget: JammerBudget):
@@ -233,59 +292,63 @@ def evaluate_kkt(zeta_t, zeta_d, nu: float, cfg: SystemConfig, budget: JammerBud
     violation among budget feasibility, ratio nonnegativity, multiplier
     nonnegativity and complementary slackness.
     """
-    z = np.append(np.asarray(zeta_t, dtype=float), float(zeta_d))
-    lam = _grad_z(_sys(cfg, budget), z) + nu
-    return _residual(z, lam), lam
+    z = _ratios(zeta_t, cfg.n_users) + [float(zeta_d)]
+    lam = [g + nu for g in _grad_z(_sys(cfg, budget), z)]
+    return _residual(z, lam), np.array(lam)
 
 
-def _residual(z: np.ndarray, lam: np.ndarray) -> float:
+def _residual(z, lam) -> float:
     """Largest KKT violation at the point ``z`` (data ratio last) with multipliers ``lam``."""
     return max(
-        abs(float(z.sum()) - 1.0),
-        max(0.0, -float(z.min())),
-        max(0.0, -float(lam.min())),
-        float(np.abs(lam * z).max()),
+        abs(_user_sum(z) - 1.0),
+        max(0.0, -_nan_or(min, z)),
+        max(0.0, -_nan_or(min, lam)),
+        _nan_or(max, [abs(g * v) for g, v in zip(lam, z)]),
     )
 
 
-def _refine_active_set(sys: _Sys, free: np.ndarray):
+def _refine_active_set(sys: _Sys, free) -> list[float]:
     """Exact solve of the stationarity + budget system on a fixed free set.
 
-    On the free set (mask ``free``, data last) the stationarity equations
-    collapse to one scalar: every free training denominator is proportional
-    to ``tt_k * sqrt(pd_k pt_k)``.  With the data ratio free the constant
-    solves a quadratic, otherwise it is linear in the budget.  Returns the
-    point ``z``, which exists on every row of :func:`_path` that
+    On the free set (the K + 1 booleans ``free``, data last) the stationarity
+    equations collapse to one scalar: every free training denominator is
+    proportional to ``tt_k * sqrt(pd_k pt_k)``.  With the data ratio free the
+    constant solves a quadratic, otherwise it is linear in the budget.
+    Returns the point ``z``, which exists on every row of :func:`_path` that
     :func:`solve_kkt` solves: each row but the data-only one frees a user
     with ``w > 0``, so ``w_free > 0``, and with some user of ``w > 0`` (the
     objective is not flat) ``_path`` opens the data-only row only where
     ``A2_0 r^2 >= c0 > 0``, so ``a2 > 0``.  Either way the divisors below
-    are positive.
+    are positive, but for ``w_free * energy``, which can underflow to 0.
     """
-    w, x_thr = sys.w, sys.x
-    free_t = free[:-1]
-    w_free = float(w[free_t].sum())
-    x_free = float(x_thr[free_t].sum())
-    z = np.zeros(free.size)
-    zt = z[:-1]
+    w, x_thr, energy = sys.w, sys.x, sys.energy
+    users = len(w)
+    free_t = [k for k in range(users) if free[k]]
+    w_free = _user_sum([w[k] for k in free_t])
+    x_free = _user_sum([x_thr[k] for k in free_t])
+    z = [0.0] * (users + 1)
     if not free[-1]:
         # Expanded form of (cp * w_k - x_k) / energy with cp = (energy + XA)/WA;
         # the direct form cancels catastrophically when energy << XA.
-        zt[free_t] = w[free_t] / w_free + (w[free_t] * x_free - x_thr[free_t] * w_free) / (
-            w_free * sys.energy
-        )
+        corrections = _quotients([w[k] * x_free - x_thr[k] * w_free for k in free_t], w_free * energy)
+        for k, correction in zip(free_t, corrections):
+            z[k] = w[k] / w_free + correction
     else:
         # a2 = sum of the pinned users' alpha at zero jamming, summed directly:
         # S - sum_free pd - sum_pinned beta cancels when a pinned pd is tiny.
-        pt_tt = sys.pt * sys.tt
-        a2 = float((sys.pd * pt_tt / (1.0 + pt_tt))[~free_t].sum())
-        rhs = sys.energy + sys.Td * (1.0 + sys.S) + x_free
+        a2 = _user_sum([
+            d * (p * t) / (1.0 + p * t)
+            for k, (p, d, t) in enumerate(zip(sys.pt, sys.pd, sys.tt))
+            if not free[k]
+        ])
+        rhs = energy + sys.Td * (1.0 + sys.S) + x_free
         # Positive root of a2 cp^2 + 2 w_free cp - rhs = 0, without the
         # cancellation of (-w_free + sqrt(...)) / a2 when a2 is small.
         cp = rhs / (w_free + math.sqrt(w_free * w_free + a2 * rhs))
-        d_d = sys.energy + sys.Td + x_free - cp * w_free
-        z[-1] = (d_d - sys.Td) / sys.energy
-        zt[free_t] = (cp * w[free_t] - x_thr[free_t]) / sys.energy
+        d_d = energy + sys.Td + x_free - cp * w_free
+        z[-1] = (d_d - sys.Td) / energy
+        for k in free_t:
+            z[k] = (cp * w[k] - x_thr[k]) / energy
     return z
 
 
@@ -298,39 +361,47 @@ def _path(sys: _Sys):
     E from ``starts[i]`` to ``starts[i + 1]``, and ``rows`` are the rows whose
     interval meets ``[E (1 - PATH_WINDOW), E (1 + PATH_WINDOW)]`` at the
     energy of ``sys``.  The first row starts at E = 0 and frees the first
-    user, or the data phase where no user is free at E = 0+.
+    user, or the data phase where no user is free at E = 0+.  The order and
+    the searches treat a NaN (an ``inf / inf`` threshold at overflowing
+    powers) as NumPy does, after every number.
     """
-    live = sys.w > 0.0
-    thr = np.where(live, sys.x / np.where(live, sys.w, 1.0), math.inf)
-    order = np.argsort(thr, kind="stable")
-    pt_tt = sys.pt * sys.tt
+    w, x = sys.w, sys.x
+    users = len(w)
+    thr = [xk / wk if wk > 0.0 else math.inf for wk, xk in zip(w, x)]
+    order = sorted([k for k in range(users) if thr[k] == thr[k]], key=thr.__getitem__)
+    order += [k for k in range(users) if thr[k] != thr[k]]
+    alpha0 = [d * (p * t) / (1.0 + p * t) for p, d, t in zip(sys.pt, sys.pd, sys.tt)]
     # A2_m, the pinned users' alpha at zero jamming, summed from the last user.
-    a2 = np.append((sys.pd * pt_tt / (1.0 + pt_tt))[order][::-1].cumsum()[::-1], 0.0)
-    order = order[: int(live.sum())]
-    r = thr[order]
-    w_cum, x_cum = (np.concatenate(((0.0,), v[order].cumsum())) for v in (sys.w, sys.x))
-    w_m, x_m = w_cum[:-1], x_cum[:-1]
+    a2 = [*itertools.accumulate([alpha0[k] for k in reversed(order)])][::-1]
+    a2.append(0.0)
+    order = order[: users - w.count(0.0)]  # w is never negative or NaN
+    r = [thr[k] for k in order]
+    w_cum = [0.0, *itertools.accumulate([w[k] for k in order])]
+    x_cum = [0.0, *itertools.accumulate([x[k] for k in order])]
     c0 = sys.Td * (1.0 + sys.S)
     # A2_m r^2 for user m + 1's r: every pinned r_k >= r, so it is at most sum x
     # where r * r alone can overflow.
-    quad = (a2[: r.size] * r) * r
+    quad = [(a * r_i) * r_i for a, r_i in zip(a2, r)]
     # The data ratio at cp = r has the sign of A2_m r^2 + W_m r - c0, so the data
     # phase switches on with the first m users free where that is >= 0.
-    m = int(np.argmax(np.append(quad + w_m * r >= c0, True)))
+    m = next((i for i, r_i in enumerate(r) if quad[i] + w_cum[i] * r_i >= c0), len(r))
     # The energy at which user m + 1 switches on, with the data ratio pinned
     # before the data event and free after it.
-    user_on = np.where(np.arange(r.size) < m, r * w_m - x_m, quad + 2.0 * w_m * r - c0 - x_m)
+    user_on = [
+        r_i * w_cum[i] - x_cum[i] if i < m else quad[i] + 2.0 * w_cum[i] * r_i - c0 - x_cum[i]
+        for i, r_i in enumerate(r)
+    ]
     data_on = 0.0
     if m:
-        w_d, x_d = float(w_cum[m]), float(x_cum[m])
+        w_d, x_d = w_cum[m], x_cum[m]
         # The positive root of A2 cp^2 + W cp = c0, without cancellation.
-        data_on = 2.0 * c0 / (w_d + math.sqrt(w_d * w_d + 4.0 * float(a2[m]) * c0)) * w_d - x_d
-    starts = np.concatenate((user_on[:m], (data_on,), user_on[m:]))
-    coords = np.concatenate((order[:m], (sys.w.size,), order[m:]))
-    ends = np.append(starts[1:], math.inf)
+        data_on = 2.0 * c0 / (w_d + math.sqrt(w_d * w_d + 4.0 * a2[m] * c0)) * w_d - x_d
+    starts = user_on[:m] + [data_on] + user_on[m:]
+    coords = order[:m] + [users] + order[m:]
+    ends = starts[1:] + [math.inf]
     rows = range(
-        int(np.searchsorted(ends, sys.energy * (1.0 - PATH_WINDOW))),
-        int(np.searchsorted(starts, sys.energy * (1.0 + PATH_WINDOW), side="right")),
+        bisect.bisect_left(ends, _nan_last(sys.energy * (1.0 - PATH_WINDOW)), key=_nan_last),
+        bisect.bisect_right(starts, _nan_last(sys.energy * (1.0 + PATH_WINDOW)), key=_nan_last),
     )
     return coords, starts, rows
 
@@ -340,7 +411,7 @@ def _flat_result(cfg: SystemConfig, sys: _Sys, method: str) -> SolveResult:
     alloc = uniform_allocation(cfg)
     return SolveResult(
         alloc=alloc,
-        rho_star=float(_rho_z(alloc.as_vector(), sys)),
+        rho_star=_rho_z([*alloc.zeta_t, alloc.zeta_d], sys),
         nu_star=0.0,
         lambdas=(0.0,) * (cfg.n_users + 1),
         active_set=(),
@@ -350,26 +421,25 @@ def _flat_result(cfg: SystemConfig, sys: _Sys, method: str) -> SolveResult:
     )
 
 
-def _build_result(sys: _Sys, z: np.ndarray, method: str, iterations: int, nu: float | None = None) -> SolveResult:
+def _build_result(sys: _Sys, z, method: str, iterations: int, nu: float | None = None) -> SolveResult:
     try:
-        alloc = JammerAllocation(tuple(z[:-1].tolist()), float(z[-1]))
+        alloc = JammerAllocation(tuple(z[:-1]), z[-1])
     except ValueError as exc:
         raise SolverError(f"solver produced an infeasible allocation: {exc}", math.inf)
-    z = alloc.as_vector()
+    z = [*alloc.zeta_t, alloc.zeta_d]
     g_all = _grad_z(sys, z)
     if nu is None:
-        free = z > ACTIVE_TOL
-        nu = max(0.0, float(-(g_all[free]).mean())) if free.any() else 0.0
-    lam = g_all + nu
-    residual = _residual(z, lam)
+        free = [g for g, v in zip(g_all, z) if v > ACTIVE_TOL]
+        nu = max(0.0, -(_user_sum(free) / len(free))) if free else 0.0
+    lam = [g + nu for g in g_all]
     return SolveResult(
         alloc=alloc,
-        rho_star=float(_rho_z(z, sys)),
+        rho_star=_rho_z(z, sys),
         nu_star=float(nu),
-        lambdas=tuple(max(0.0, v) for v in lam.tolist()),
-        active_set=tuple(np.flatnonzero(z <= ACTIVE_TOL).tolist()),
+        lambdas=tuple([v if v > 0.0 else 0.0 for v in lam]),  # max(0, v), NaN to 0 as well
+        active_set=tuple([k for k, v in enumerate(z) if v <= ACTIVE_TOL]),
         method=method,
-        kkt_residual=float(residual),
+        kkt_residual=_residual(z, lam),
         iterations=int(iterations),
     )
 
@@ -394,14 +464,15 @@ def solve_kkt(cfg: SystemConfig, budget: JammerBudget) -> SolveResult:
     coords, _, rows = _path(sys)
     best = None
     for row in rows:
-        free = np.zeros(sys.w.size + 1, dtype=bool)
-        free[coords[: row + 1]] = True
+        free = [False] * (cfg.n_users + 1)
+        for k in coords[: row + 1]:
+            free[k] = True
         z = _refine_active_set(sys, free)
         # A free ratio must be positive, and at a negative one the gradient can be NaN.
-        if (z[free] <= 0.0).any():
+        if any(v <= 0.0 for v, f in zip(z, free) if f):
             continue
-        nu = float(-(_grad_z(sys, z)[free]).mean())
-        result = _build_result(sys, z, METHOD_KKT, len(rows), nu=nu)
+        g_free = [g for g, f in zip(_grad_z(sys, z), free) if f]
+        result = _build_result(sys, z, METHOD_KKT, len(rows), nu=-(_user_sum(g_free) / len(g_free)))
         if best is None or result.kkt_residual < best.kkt_residual:
             best = result
     residual = math.inf if best is None else best.kkt_residual
@@ -422,7 +493,7 @@ def activation_powers(cfg: SystemConfig) -> np.ndarray:
     sys = _sys(cfg, JammerBudget(0.0))
     coords, starts, _ = _path(sys)
     out = np.full(cfg.n_users + 1, math.inf)
-    out[coords] = starts / sys.T
+    out[coords] = np.array(starts) / sys.T
     return out
 
 
@@ -441,17 +512,17 @@ def solve_closed_form(cfg: SystemConfig, budget: JammerBudget) -> SolveResult | 
     sys = _sys(cfg, budget)
     if _flat(sys):
         return None
-    w = sys.w
-    eta = float(w.sum())
-    delta = float((sys.pt * sys.tt**2).sum())
-    t_t = float(sys.tt.sum())
-    zt = (w * (sys.energy + sys.T + delta + sys.Td * sys.S) - 2.0 * eta * sys.tt * (1.0 + sys.pt * sys.tt)) / (
-        2.0 * sys.energy * eta
-    )
+    eta = _user_sum(sys.w)
+    delta = _user_sum([p * (t * t) for p, t in zip(sys.pt, sys.tt)])
+    t_t = _user_sum(sys.tt)
+    c = sys.energy + sys.T + delta + sys.Td * sys.S
+    two_eta = 2.0 * eta
+    z = _quotients([w * c - two_eta * t * (1.0 + p * t) for w, p, t in zip(sys.w, sys.pt, sys.tt)], 2.0 * sys.energy * eta)
     zd = 0.5 + (t_t + delta - sys.Td * (1.0 + sys.S)) / (2.0 * sys.energy)
-    if not (np.all(zt > 0.0) and zd > 0.0):
+    if not (all(v > 0.0 for v in z) and zd > 0.0):
         return None
-    return _build_result(sys, np.append(zt, zd), METHOD_CLOSED_FORM, 0)
+    z.append(zd)
+    return _build_result(sys, z, METHOD_CLOSED_FORM, 0)
 
 
 def solve_asymptotic(cfg: SystemConfig) -> JammerAllocation:
@@ -474,13 +545,6 @@ def solve(cfg: SystemConfig, budget: JammerBudget) -> SolveResult:
     return solve_kkt(cfg, budget)
 
 
-def _user_sum(values):
-    """``values`` summed left to right, in user order.  Up to 7 terms that is
-    the order, and so the bits, of ``ndarray.sum``; from 8 NumPy sums
-    pairwise.  (Not ``sum``, which compensates from Python 3.12.)"""
-    return functools.reduce(operator.add, values)
-
-
 def _pair_descent(z, sys: _Sys):
     """Projected coordinate descent on the simplex via pairwise transfers.
 
@@ -492,14 +556,13 @@ def _pair_descent(z, sys: _Sys):
     gamma, are kept for the current point; a trial on the pair (i, j)
     recomputes with :func:`_ratio_terms` only the two terms it moves, user
     i's and either user j's or gamma (j the data coordinate), and forms
-    ``gamma A / (1 + gamma B)`` with the user sums in user order
-    (:func:`_user_sum`).  Up to 7 users every
-    value is bit for bit the :func:`_rho_z` of the trial point; from 8 a
-    value may round apart from it in the last bits.
+    ``gamma A / (1 + gamma B)`` with :func:`_user_sum`, so every value is
+    bit for bit the :func:`_rho_z` of the trial point, and so the value
+    that point has on NumPy arrays.  ``z`` is a list of floats.
     """
-    z = np.asarray(z, dtype=float).tolist()
+    z = list(z)
     users = len(z) - 1
-    pt, pd, tt = sys.pt.tolist(), sys.pd.tolist(), sys.tt.tolist()
+    pt, pd, tt = sys.pt, sys.pd, sys.tt
 
     def terms(k, zeta_k, zeta_d):
         return _ratio_terms(zeta_k, zeta_d, pt[k], pd[k], tt[k], sys.energy, sys.Td)
@@ -507,8 +570,11 @@ def _pair_descent(z, sys: _Sys):
     def value(a, b, g):
         return g * _user_sum(a) / (1.0 + g * _user_sum(b))
 
-    alphas, betas, gamma = _ratio_terms(np.array(z[:-1]), z[-1], sys.pt, sys.pd, sys.tt, sys.energy, sys.Td)
-    alphas, betas = alphas.tolist(), betas.tolist()
+    alphas, betas = [], []
+    for k in range(users):
+        alpha, beta, gamma = terms(k, z[k], z[-1])
+        alphas.append(alpha)
+        betas.append(beta)
     best = value(alphas, betas, gamma)
     for sweeps in range(1, ORACLE_MAX_SWEEPS + 1):
         start = best
@@ -541,7 +607,7 @@ def _pair_descent(z, sys: _Sys):
                     best = f_best
         if start - best <= ORACLE_REL_TOL * abs(start):
             break
-    return np.array(z), best, sweeps
+    return z, best, sweeps
 
 
 def solve_oracle(cfg: SystemConfig, budget: JammerBudget, grid_resolution: float = 1e-3) -> SolveResult:
@@ -557,12 +623,11 @@ def solve_oracle(cfg: SystemConfig, budget: JammerBudget, grid_resolution: float
     objective, relative at every scale of rho.  No grid search is needed:
     rho is pseudoconvex on the simplex (module docstring), so a point that
     no pairwise transfer improves is a KKT point and a global minimum, and
-    the start only sets how far the polish travels.  The polish runs on
-    Python floats with the user sums in user order, so up to 7 users every
-    trial value is the one ``_rho_z`` gives at the trial point; from 8 users
-    NumPy sums a point pairwise, and the polish may end a few ulps from
-    where one on NumPy arrays would.  ``iterations`` is the polish's sweep
-    count.  Only intended for tests and diagnostics.
+    the start only sets how far the polish travels.  The start set is
+    valued on NumPy arrays (:func:`model._ratio_rho`), the polish on Python
+    floats, every trial value the one ``_rho_z`` gives at the trial point.
+    ``iterations`` is the polish's sweep count.  Only intended for tests and
+    diagnostics.
     ``grid_resolution`` must lie in (0, 1] with a finite reciprocal; any
     other value, NaN included, is a ``ValueError``.
     """
@@ -575,7 +640,8 @@ def solve_oracle(cfg: SystemConfig, budget: JammerBudget, grid_resolution: float
     samples = min(round(1.0 / grid_resolution), ORACLE_SEARCH_SAMPLES)
     rng = np.random.default_rng(ORACLE_SEED)
     starts = np.concatenate([np.eye(dim), np.full((1, dim), 1.0 / dim), rng.dirichlet(np.ones(dim), size=samples)])
-    z, _, sweeps = _pair_descent(starts[int(np.argmin(_rho_z(starts, sys)))], sys)
+    values = _ratio_rho(starts[:, :-1], starts[:, -1], *_config_terms(cfg, budget))
+    z, _, sweeps = _pair_descent(starts[int(np.argmin(values))].tolist(), sys)
     return _build_result(sys, z, METHOD_ORACLE, sweeps)
 
 
@@ -584,13 +650,14 @@ def _descend(z0, sys: _Sys):
     ``up`` of least gradient from a positive one: the first, in order of
     first-order gain ``(g_i - g_up) z_i``, whose line search (golden section plus
     the edge that pins it at 0) lowers rho.  Returns the end, its rho and the
-    step count.
+    step count.  The step logic runs on NumPy arrays; rho and its gradient
+    are :func:`_rho_z` and :func:`_grad_z` on the point as Python floats.
     """
     z = np.array(z0, dtype=float)
-    f = _rho_z(z, sys)
+    f = _rho_z(z.tolist(), sys)
     steps = 0
     while steps < DESCENT_MAX_ITER:
-        g = _grad_z(sys, z)
+        g = np.array(_grad_z(sys, z.tolist()))
         up = int(np.argmin(g))
         pos = z > 0.0
         gap = np.where(pos, g - g[up], 0.0)
@@ -599,11 +666,12 @@ def _descend(z0, sys: _Sys):
         if gap.max() <= DESCENT_TOL * max(abs(g[up]), np.abs(g[pos]).max()):
             break
         downs = np.flatnonzero(gap > 0.0)
-        for down in downs[np.argsort(-(gap * z)[downs], kind="stable")]:
-            z_down = z[down]
+        point = z.tolist()
+        for down in downs[np.argsort(-(gap * z)[downs], kind="stable")].tolist():
+            z_down = point[down]
 
             def move(t):
-                trial = z.copy()
+                trial = point.copy()
                 trial[up] += t
                 trial[down] = z_down - t
                 return trial
@@ -615,7 +683,7 @@ def _descend(z0, sys: _Sys):
             ends = ((c, fc), (d, fd), (z_down, _rho_z(move(z_down), sys)))
             t_best, f_best = min(ends, key=operator.itemgetter(1))
             if f_best < f:
-                z, f = move(t_best), f_best
+                z, f = np.array(move(t_best)), f_best
                 steps += 1
                 break
         else:
@@ -635,7 +703,7 @@ def solve_projected_descent(cfg: SystemConfig, budget: JammerBudget) -> SolveRes
     """
     sys = _sys(cfg, budget)
     z, _, steps = _descend(uniform_allocation(cfg).as_vector(), sys)
-    return _build_result(sys, z, METHOD_DESCENT, steps)
+    return _build_result(sys, z.tolist(), METHOD_DESCENT, steps)
 
 
 def check_corollary_orderings(result: SolveResult, cfg: SystemConfig) -> list[OrderingVerdict]:

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import re
 import tracemalloc
@@ -10,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 import macjam as mj
 from macjam import optimizer as opt
-from macjam.model import _golden_section
+from macjam.model import _golden_section, _ratio_rho
 from _support import random_budget, random_config, rate_reduction_limit
 
 T100 = 100
@@ -102,7 +103,7 @@ def _sign_checked(sys, z, free):
     """Exact sign checks for a restricted solve; returns ``(nu, lambdas)`` or None."""
     if (z[free] <= 0.0).any():
         return None
-    g_all = opt._grad_z(sys, z)
+    g_all = np.array(opt._grad_z(sys, z.tolist()))
     nu = float(-(g_all[free]).mean())
     lam = g_all + nu
     if float(lam[~free].min(initial=math.inf)) < -1e-9 * (1.0 + abs(nu)):
@@ -120,8 +121,8 @@ def _reference_solve_kkt(cfg, budget):
     the free coordinates of the row it picks (data last).
     """
     sys = opt._sys(cfg, budget)
-    w = sys.w
-    ratio = np.where(w > 0.0, sys.x / np.where(w > 0.0, w, 1.0), math.inf)
+    w = np.array(sys.w)
+    ratio = np.where(w > 0.0, np.array(sys.x) / np.where(w > 0.0, w, 1.0), math.inf)
     order = np.argsort(ratio, kind="stable")
     best, tried = None, 0
     for m in range(w.size + 1):
@@ -131,7 +132,7 @@ def _reference_solve_kkt(cfg, budget):
             free = np.zeros(w.size + 1, dtype=bool)
             free[order[:m]] = True
             free[-1] = free_d
-            z = opt._refine_active_set(sys, free)
+            z = np.array(opt._refine_active_set(sys, free))
             tried += 1
             checked = _sign_checked(sys, z, free)
             if checked is None:
@@ -143,7 +144,7 @@ def _reference_solve_kkt(cfg, budget):
     if best is None:
         raise mj.SolverError("no candidate free set certifies the optimum", math.inf)
     _, z, nu, row = best
-    result = opt._build_result(sys, z, opt.METHOD_KKT, tried, nu=nu)
+    result = opt._build_result(sys, z.tolist(), opt.METHOD_KKT, tried, nu=nu)
     if result.kkt_residual > opt.CERT_TOL:
         raise mj.SolverError("no candidate free set certifies the optimum", result.kkt_residual)
     return result, row
@@ -203,7 +204,125 @@ def test_path_keeps_the_reference_row_and_every_bit():
             continue
         assert _hex_fields(mj.solve_kkt(cfg, budget)) == _hex_fields(ref)
         coords, _, rows = opt._path(opt._sys(cfg, budget))
-        assert row in [tuple(sorted(coords[: i + 1].tolist())) for i in rows]
+        assert row in [tuple(sorted(coords[: i + 1])) for i in rows]
+
+
+U = mj.UserParams
+EXTREME_CONFIGS = {
+    "nan_threshold_first": mj.SystemConfig(2**40, (U(1e300, 1e10, 10**10), U(10.0, 10.0, 3))),
+    "nan_threshold_after_a_silent_user": mj.SystemConfig(
+        2**40, (U(10.0, 0.0, 3), U(1e300, 1e10, 10**10), U(5.0, 5.0, 2))
+    ),
+    "subnormal_w_alone": mj.SystemConfig(100, (U(10.0, 5e-324, 1),)),
+    "subnormal_w_twice": mj.SystemConfig(100, (U(10.0, 5e-324, 1), U(1e-3, 1e-300, 2))),
+    "subnormal_w_and_a_normal_user": mj.SystemConfig(
+        100, (U(1e-3, 1e-300, 2), U(10.0, 5e-324, 1), U(3.0, 20.0, 2))
+    ),
+}
+
+
+def _pinned_cases():
+    """2,000 seeded configs over the domain, each with a budget and two random
+    points, plus ``_transition_budgets`` of every 40th config.  K runs 1-32,
+    powers -30..80 dB, budgets -40..100 dB (every 50th zero), windows 1-200
+    symbols; every 9th config has a silent user and every 11th a user whose
+    ``w = tt sqrt(pd pt)`` underflows to 0 with ``pd > 0``."""
+    rng = np.random.default_rng(2424)
+    cases = []
+    for i in range(2000):
+        k = 1 + i % 32
+        cfg = random_config(rng, k=k, p_lo=1e-3, p_hi=1e8, max_train_len=200)
+        users = list(cfg.users)
+        if i % 9 == 4:
+            users[i % k] = replace(users[i % k], data_power=0.0)
+        if i % 11 == 5:
+            users[(i + 1) % k] = replace(users[(i + 1) % k], train_power=1e-3, data_power=5e-324)
+        cfg = mj.SystemConfig(cfg.block_len, tuple(users))
+        budgets = [mj.JammerBudget(0.0) if i % 50 == 7 else random_budget(rng, -40.0, 100.0)]
+        if i % 40 == 0:
+            budgets += _transition_budgets(cfg)
+        cases += [(cfg, budget, rng.dirichlet(np.ones(k + 1), size=2)) for budget in budgets]
+    # Beyond the tested domain: thresholds x / w = inf / inf = NaN, and budgets
+    # so small that P_w T times a subnormal w underflows to a zero divisor.
+    for cfg in EXTREME_CONFIGS.values():
+        center = np.full((1, cfg.n_users + 1), 1.0 / (cfg.n_users + 1))
+        cases += [(cfg, mj.JammerBudget(pw), center) for pw in (5e-324, 1e-320, 1e-3, 1.0, 1e8)]
+    return cases
+
+
+def _pinned_lines(cfg, budget, points):
+    """``float.hex`` of every field that ``solve``, ``solve_kkt``,
+    ``solve_closed_form`` and ``activation_powers`` return at one input, and
+    ``evaluate_kkt`` and ``rho_gradient`` at each point and at ``solve``'s
+    optimum, or the message of the ``SolverError`` or ``ValueError`` raised."""
+
+    def hexes(values):
+        return " ".join(float.hex(float(v)) for v in values)
+
+    def fields(res):
+        if res is None:
+            return "None"
+        return " ".join(
+            (hexes(res.alloc.as_vector()), hexes((res.rho_star, res.nu_star, res.kkt_residual)),
+             hexes(res.lambdas), repr(res.active_set), res.method, str(res.iterations))
+        )
+
+    def at(z, nu):
+        residual, lam = mj.evaluate_kkt(z[:-1], z[-1], nu, cfg, budget)
+        return hexes([residual, *lam, *np.append(*mj.rho_gradient(z[:-1], z[-1], cfg, budget))])
+
+    def line(name, call):
+        try:
+            return f"{name}: {call()}"
+        except (mj.SolverError, ValueError) as exc:
+            return f"{name}: {type(exc).__name__}: {exc}"
+
+    lines = [
+        line("solve_kkt", lambda: fields(mj.solve_kkt(cfg, budget))),
+        line("solve_closed_form", lambda: fields(mj.solve_closed_form(cfg, budget))),
+        line("activation_powers", lambda: hexes(mj.activation_powers(cfg))),
+        *(line("point", lambda: at(z, 0.5)) for z in points),
+    ]
+    try:
+        res = mj.solve(cfg, budget)
+    except (mj.SolverError, ValueError) as exc:
+        return lines + [f"solve: {type(exc).__name__}: {exc}"]
+    return lines + [f"solve: {fields(res)}", line("optimum", lambda: at(res.alloc.as_vector(), res.nu_star))]
+
+
+# sha256 of _pinned_lines over _pinned_cases, recorded from the NumPy-vector
+# solver that the Python-float one replaced.
+PINNED_SHA256 = "6630ac9a9f0c98f5c43668a948d7cb22394d541f370302f57c72f8581b6755af"
+
+
+def test_primary_solver_keeps_every_recorded_bit():
+    # test_path_keeps_the_reference_row_and_every_bit builds its reference from
+    # the same private primitives, so it cannot see their arithmetic drift; this
+    # digest can, down to a scalar ``x ** 2`` written as ``x * x``.
+    cases = _pinned_cases()
+    assert len(cases) >= 2000
+    lines = [line for case in cases for line in _pinned_lines(*case)]
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == PINNED_SHA256
+
+
+@pytest.mark.parametrize("case", [name for name in EXTREME_CONFIGS if name.startswith("nan")])
+@pytest.mark.parametrize("pw", [1e-3, 1.0, 1e3])
+def test_path_sorts_and_searches_a_nan_threshold_as_numpy_does(case, pw):
+    # NumPy's stable argsort puts a NaN after every number, inf included, and
+    # its searchsorted ranks a NaN above any energy; Python's own comparisons
+    # do neither, so the path must not lean on them.
+    cfg = EXTREME_CONFIGS[case]
+    sys = opt._sys(cfg, mj.JammerBudget(pw))
+    thr = np.array([x / w if w > 0.0 else math.inf for w, x in zip(sys.w, sys.x)])
+    assert np.isnan(thr).any()
+    coords, starts, rows = opt._path(sys)
+    live = sum(w > 0.0 for w in sys.w)
+    assert [k for k in coords if k < cfg.n_users] == np.argsort(thr, kind="stable")[:live].tolist()
+    ends = np.append(starts[1:], math.inf)
+    assert rows == range(
+        int(np.searchsorted(ends, sys.energy * (1.0 - opt.PATH_WINDOW))),
+        int(np.searchsorted(starts, sys.energy * (1.0 + opt.PATH_WINDOW), side="right")),
+    )
 
 
 def test_solve_certifies_a_tiny_budget_with_one_user_free():
@@ -370,7 +489,6 @@ def test_oracle_gives_the_same_bits_twice_in_a_row():
 # relative stop, the descent's as its gradient pair descent returns them from
 # the duration-proportional split.  Each rho* lies within 1e-15 relative of
 # solve's (checked below).
-U = mj.UserParams
 RECORDED = {
     1: (mj.SystemConfig(10, (U(10.0, 10.0, 1),)), 100.0, {
         "oracle": (["0x1.16872b42799bap-1", "0x1.d2f1a97b0cc8dp-2", "0x1.8018018018018p-9",
@@ -413,10 +531,15 @@ def test_reference_solvers_reproduce_recorded_bits(k):
 
 def _reference_pair_descent(z, sys):
     """The oracle's polish on NumPy arrays: every trial point is a copy of
-    ``z`` with two coordinates moved, valued whole by ``_rho_z``."""
+    ``z`` with two coordinates moved, valued whole by ``model._ratio_rho``."""
     z = np.array(z, dtype=float)
     dim = z.size
-    best = opt._rho_z(z, sys)
+    vectors = (np.array(sys.pt), np.array(sys.pd), np.array(sys.tt), sys.energy, sys.Td)
+
+    def rho(point):
+        return float(_ratio_rho(point[:-1], point[-1], *vectors))
+
+    best = rho(z)
     for sweeps in range(1, opt.ORACLE_MAX_SWEEPS + 1):
         start = best
         for i in range(dim):
@@ -429,7 +552,7 @@ def _reference_pair_descent(z, sys):
                 def phi(t):
                     trial[i] = z[i] + t
                     trial[j] = z[j] - t
-                    return opt._rho_z(trial, sys)
+                    return rho(trial)
 
                 _, _, c, fc, d, fd = _golden_section(phi, lo, hi, 1e-12)
                 t_best, f_best = (c, fc) if fc <= fd else (d, fd)
@@ -445,7 +568,7 @@ def _reference_pair_descent(z, sys):
                     best = f_best
         if start - best <= opt.ORACLE_REL_TOL * abs(start):
             break
-    return z, best, sweeps
+    return z.tolist(), best, sweeps
 
 
 def _oracle_pair(cfg, budget, grid_resolution, monkeypatch):
@@ -477,29 +600,42 @@ def _oracle_cases(rng, ks, silent_every):
 
 
 def test_float_polish_keeps_every_bit_of_the_array_polish_up_to_seven_users(monkeypatch):
-    # Up to 7 terms a user-order sum is ndarray.sum's, so the float polish
-    # must retrace the array polish exactly: same point, rho* and sweeps.
+    # _user_sum is ndarray.sum's sum, so the float polish must retrace the
+    # array polish exactly: same point, rho* and sweeps.
     cases = _oracle_cases(np.random.default_rng(1953), [1 + i % 7 for i in range(70)], silent_every=9)
     for cfg, budget, grid in cases:
         res, ref = _oracle_pair(cfg, budget, grid, monkeypatch)
         assert _oracle_bits(res) == _oracle_bits(ref), (cfg, budget, grid)
 
 
-def test_float_polish_agrees_with_the_array_polish_from_eight_users(monkeypatch):
-    # From 8 terms NumPy sums pairwise, so the two polishes may round apart.
+def test_float_polish_keeps_every_bit_of_the_array_polish_from_eight_users(monkeypatch):
+    # From 8 terms NumPy sums pairwise, and so does _user_sum.
     for cfg, budget, grid in _oracle_cases(np.random.default_rng(1953), [8, 9, 10, 11, 12], silent_every=5):
         res, ref = _oracle_pair(cfg, budget, grid, monkeypatch)
-        assert res.rho_star == pytest.approx(ref.rho_star, rel=1e-13, abs=0.0), (cfg, budget, grid)
+        assert _oracle_bits(res) == _oracle_bits(ref), (cfg, budget, grid)
+
+
+def _assert_user_sum_is_ndarray_sum(n, draws):
+    rng = np.random.default_rng(n)
+    for _ in range(draws):
+        scale = 10.0 ** rng.uniform(-300.0, 300.0, size=1 if rng.random() < 0.5 else n)
+        v = rng.uniform(1.0, 10.0, size=n) * scale * rng.choice([-1.0, 1.0], size=n)
+        # Signed zeros too: NumPy sums from +0.0, so -0.0 alone sums to +0.0.
+        v[rng.random(n) < 0.1] = rng.choice([0.0, -0.0])
+        assert opt._user_sum(v.tolist()).hex() == float(v.sum()).hex(), v.tolist()
 
 
 @pytest.mark.parametrize("n", range(1, 8))
 def test_user_order_sum_is_ndarray_sum_up_to_seven_terms(n):
-    # The polish's bit-for-bit agreement with _rho_z up to K = 7 rests on this.
-    rng = np.random.default_rng(n)
-    for _ in range(3000):
-        scale = 10.0 ** rng.uniform(-300.0, 300.0, size=1 if rng.random() < 0.5 else n)
-        v = rng.uniform(1.0, 10.0, size=n) * scale * rng.choice([-1.0, 1.0], size=n)
-        assert opt._user_sum(v.tolist()).hex() == float(v.sum()).hex(), v.tolist()
+    # Up to 7 terms ndarray.sum adds from 0.0 left to right, as _user_sum does
+    # on Python floats; every bit the solvers share with NumPy rests on this.
+    _assert_user_sum_is_ndarray_sum(n, 3000)
+
+
+@pytest.mark.parametrize("n", range(8, 65))
+def test_user_sum_is_ndarray_sum_from_eight_terms(n):
+    # From 8 terms NumPy sums pairwise, and _user_sum hands the sum to it.
+    _assert_user_sum_is_ndarray_sum(n, 300)
 
 
 def test_oracle_memory_peak_stays_bounded():
