@@ -348,10 +348,12 @@ def _build_parser() -> argparse.ArgumentParser:
         "--workers",
         type=int,
         default=1,
-        help="threads that draw and reduce each rate report's samples when it draws its own; "
-        "a sweep draws them once, on one thread, into one array if they take at most "
+        metavar="N",
+        help="threads that price each rate report (the caller and N - 1 helpers); a sweep "
+        "draws its samples once, on one thread, into one array if they take at most "
         f"{SWEEP_BANK_MAX_BYTES // 2**20} MiB (samples x K x 8 bytes) and prices each report "
-        "from it in spans of at most 32 blocks, else each report draws them again",
+        "from it in up to N spans of at most 32 blocks, else each report draws them again; "
+        "the output is the same bits for every N",
     )
     p_sweep.set_defaults(handler=_cmd_sweep)
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -171,6 +172,66 @@ def draw_samples(mc: MonteCarloSettings, n_users: int) -> SampleBank:
     return SampleBank(mc.seed, mc.samples, n_users, draws)
 
 
+# The helper threads of every threaded report, made on the first one and kept for
+# the life of the process; see _price_all.
+_helpers = None
+_helpers_made = threading.Lock()
+
+
+def _helper_pool():
+    global _helpers
+    with _helpers_made:
+        if _helpers is None:
+            # Imported on first use, so that ``import macjam`` does not load it.
+            from concurrent.futures import ThreadPoolExecutor
+
+            # The calling thread prices blocks too, so one thread fewer than the
+            # CPUs can run every report at full width.
+            _helpers = ThreadPoolExecutor(max_workers=os.cpu_count() - 1, thread_name_prefix="macjam-mc")
+        return _helpers
+
+
+def _forget_helpers():
+    """In a forked child: the pool's threads are not copied, so the child makes its own."""
+    global _helpers, _helpers_made
+    _helpers, _helpers_made = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_helpers)
+
+
+def _price_all(price, count: int, threads: int) -> list:
+    """``[price(i) for i in range(count)]``, priced by the calling thread and ``threads - 1`` helpers.
+
+    Every thread takes the next index from one shared counter, and result ``i``
+    goes into slot ``i``.  Once the counter runs out the caller cancels the
+    helpers that have not started, so it never waits on a busy pool; it waits
+    only for a started helper's last index."""
+    results = [None] * count
+    indices = iter(range(count))
+    take = threading.Lock()
+
+    def work():
+        while True:
+            with take:
+                i = next(indices, None)
+            if i is None:
+                return
+            results[i] = price(i)
+
+    helpers = [_helper_pool().submit(work) for _ in range(threads - 1)]
+    try:
+        work()
+    finally:
+        for f in helpers:
+            f.cancel()
+    for f in helpers:
+        if not f.cancelled():
+            f.result()
+    return results
+
+
 def sum_rate_mc(
     alloc: JammerAllocation,
     cfg: SystemConfig,
@@ -182,46 +243,51 @@ def sum_rate_mc(
     """Monte Carlo estimate of the achievable ergodic sum-rate.
 
     Returns ``(estimate, halfwidth)`` in bits/symbol, where halfwidth is
-    ``confidence_z`` times the standard error.  Deterministic for a fixed seed
-    regardless of ``workers``: blocks are reduced in index order.
+    ``confidence_z`` times the standard error.  Deterministic for a fixed seed:
+    no bit depends on ``workers`` or on which thread prices a block, since each
+    block's sums are kept apart and added in index order.
 
     Without ``bank`` each call draws its own samples, one block of 8192 at a
-    time; with ``workers`` > 1, up to ``min(workers, blocks, os.cpu_count())``
-    threads draw and reduce the blocks.  A ``bank`` from :func:`draw_samples`
-    holds those same draws, so the result is the same bits; it must match
-    ``(mc.seed, mc.samples, cfg.n_users)`` or this raises ``ValueError``.  A
-    bank's report is priced on the calling thread, in spans of at most 32
-    blocks (2 MiB of temporaries at any sample count); BLAS may use its own
-    threads for the product, which changes no bit.  A bank costs
-    ``samples * K * 8`` bytes of memory for as long as the caller keeps it:
-    6.4 MB for the bundled fig2 sweep (200,000 samples, K = 4), 51 MB at K = 32.
+    time.  A ``bank`` from :func:`draw_samples` holds those same draws, so the
+    result is the same bits; it must match ``(mc.seed, mc.samples,
+    cfg.n_users)`` or this raises ``ValueError``.  A bank's report is priced in
+    spans of at most 32 blocks (2 MiB of temporaries at any sample count).  A
+    bank costs ``samples * K * 8`` bytes of memory for as long as the caller
+    keeps it: 6.4 MB for the bundled fig2 sweep (200,000 samples, K = 4), 51 MB
+    at K = 32.
+
+    The report uses ``threads = min(workers, blocks, os.cpu_count())`` threads:
+    the calling thread and ``threads - 1`` helpers from one thread pool that
+    the first threaded report makes and every later one shares.  Each thread
+    takes the next block until none is left (with a bank, the next span of
+    ``min(32, ceil(blocks / threads))`` blocks); the caller then cancels the
+    helpers that have not started, so a busy pool only makes it price more
+    itself.  BLAS may use its own threads for the product, which changes no
+    bit either.
     """
     _require_count("workers", workers)
     coeffs, pref = _sinr_coeffs(alloc, cfg, budget)
+    blocks = -(-mc.samples // _BLOCK)
+    threads = min(workers, blocks)
+    if threads > 1:
+        threads = min(threads, os.cpu_count() or 1)
     if bank is None:
         k = coeffs.size
-        blocks = _block_sizes(mc.samples)
-        # Each submit starts a thread while none is idle, so the pool is capped
-        # at what can run at once.
-        threads = min(workers, len(blocks), os.cpu_count() or 1)
-        if threads > 1:
-            # Imported on first use, so that ``import macjam`` does not load it.
-            from concurrent.futures import ThreadPoolExecutor
-
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                stats = list(
-                    pool.map(lambda b: _reduce(_draw_block(mc.seed, *b, k), coeffs, pref), blocks)
-                )
-        else:
-            stats = [_reduce(_draw_block(mc.seed, b, m, k), coeffs, pref) for b, m in blocks]
+        sizes = _block_sizes(mc.samples)
+        stats = _price_all(lambda i: _reduce(_draw_block(mc.seed, *sizes[i], k), coeffs, pref), blocks, threads)
     else:
         drawn_for, asked = (bank.seed, bank.samples, bank.n_users), (mc.seed, mc.samples, cfg.n_users)
         if drawn_for != asked:
             raise ValueError(
                 f"sample bank drawn for (seed, samples, K) = {drawn_for}, asked for {asked}"
             )
-        span = _SPAN_BLOCKS * _BLOCK
-        stats = [_reduce(bank.draws[i : i + span], coeffs, pref) for i in range(0, mc.samples, span)]
+        # At most 32 blocks a span, and at most an even share of the blocks per thread.
+        span = min(_SPAN_BLOCKS, -(-blocks // threads)) * _BLOCK
+        stats = _price_all(
+            lambda i: _reduce(bank.draws[i * span : (i + 1) * span], coeffs, pref),
+            -(-mc.samples // span),
+            threads,
+        )
     n = mc.samples
     total = 0.0
     total_sq = 0.0

@@ -1,7 +1,12 @@
 import concurrent.futures
+import json
 import math
 import os
+import subprocess
+import sys
+import threading
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -181,8 +186,9 @@ def test_bank_gives_the_bits_of_a_fresh_draw(k, samples):
     assert bank.draws.shape == (samples, k)
     assert bank.draws.flags.c_contiguous
     assert bank.draws.nbytes == samples * k * 8
-    for workers in (1, 3):
-        fresh = mj.sum_rate_mc(alloc, cfg, budget, mc, workers=workers)
+    fresh = mj.sum_rate_mc(alloc, cfg, budget, mc)
+    for workers in (1, 2, 3, 1_000_000):
+        assert mj.sum_rate_mc(alloc, cfg, budget, mc, workers=workers) == fresh
         assert mj.sum_rate_mc(alloc, cfg, budget, mc, workers=workers, bank=bank) == fresh
     report = mj.rate_report(alloc, cfg, budget, mc, bank=bank)
     assert report == mj.rate_report(alloc, cfg, budget, mc)
@@ -212,37 +218,115 @@ def test_bank_report_temporaries_stay_within_one_span():
     assert bank.draws.tobytes() == before
 
 
-class _InlinePool:
-    """A stand-in for ThreadPoolExecutor that records its size and starts no thread."""
+class _UnstartedPool:
+    """A stand-in for the helper pool whose futures never start: it records them and runs nothing."""
 
-    sizes: list = []
+    def __init__(self):
+        self.futures = []
 
-    def __init__(self, max_workers):
-        self.sizes.append(max_workers)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def map(self, fn, items):
-        return map(fn, items)
+    def submit(self, fn):
+        self.futures.append(concurrent.futures.Future())
+        return self.futures[-1]
 
 
 @pytest.mark.parametrize(
-    "cpus, samples, pool_size",
+    "cpus, samples, threads",
     [(64, 3 * 8192, 3), (2, 3 * 8192, 2), (None, 3 * 8192, None), (64, 8192, None)],
 )
-def test_thread_pool_is_capped_at_blocks_and_cpus(monkeypatch, cpus, samples, pool_size):
+def test_thread_pool_is_capped_at_blocks_and_cpus(monkeypatch, cpus, samples, threads):
+    # The caller is one of the threads: the pool gets the others, none where one thread runs.
     alloc, cfg, budget = _setup(4)
     mc = mj.MonteCarloSettings(samples=samples, seed=8)
     expected = mj.sum_rate_mc(alloc, cfg, budget, mc)
-    monkeypatch.setattr(_InlinePool, "sizes", [])
-    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", _InlinePool)
+    pool = _UnstartedPool()
+    monkeypatch.setattr(mj.rates, "_helpers", pool)
     monkeypatch.setattr(os, "cpu_count", lambda: cpus)
-    assert mj.sum_rate_mc(alloc, cfg, budget, mc, workers=1_000_000) == expected
-    assert _InlinePool.sizes == ([] if pool_size is None else [pool_size])
+    for bank in (None, mj.draw_samples(mc, 4)):
+        pool.futures.clear()
+        assert mj.sum_rate_mc(alloc, cfg, budget, mc, workers=1_000_000, bank=bank) == expected
+        assert len(pool.futures) == (threads or 1) - 1
+
+
+def test_caller_prices_every_block_when_no_helper_starts(monkeypatch):
+    alloc, cfg, budget = _setup(4)
+    mc = mj.MonteCarloSettings(samples=5 * 8192 + 3, seed=6)
+    expected = mj.sum_rate_mc(alloc, cfg, budget, mc)
+    pool = _UnstartedPool()
+    monkeypatch.setattr(mj.rates, "_helpers", pool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    for bank in (None, mj.draw_samples(mc, 4)):
+        assert mj.sum_rate_mc(alloc, cfg, budget, mc, workers=3, bank=bank) == expected
+    assert len(pool.futures) == 4
+    assert all(f.cancelled() for f in pool.futures)
+
+
+def test_helper_pool_is_made_once():
+    alloc, cfg, budget = _setup(4)
+    mc = mj.MonteCarloSettings(samples=4 * 8192, seed=2)
+    expected = mj.sum_rate_mc(alloc, cfg, budget, mc)
+    # Makes the pool, if no earlier test did, and starts its threads.
+    for _ in range(5):
+        assert mj.sum_rate_mc(alloc, cfg, budget, mc, workers=1_000_000) == expected
+    pool, before = mj.rates._helpers, threading.active_count()
+    for _ in range(20):
+        assert mj.sum_rate_mc(alloc, cfg, budget, mc, workers=2) == expected
+    assert threading.active_count() <= before
+    assert mj.rates._helpers is pool
+
+
+def test_concurrent_callers_get_the_serial_bits():
+    alloc, cfg, budget = _setup(4)
+    mc = mj.MonteCarloSettings(samples=6 * 8192 + 7, seed=4)
+    bank = mj.draw_samples(mc, 4)
+    expected = mj.sum_rate_mc(alloc, cfg, budget, mc)
+    results = [[] for _ in range(4)]
+
+    def call(out):
+        for _ in range(5):
+            out.append(mj.sum_rate_mc(alloc, cfg, budget, mc, workers=2))
+            out.append(mj.sum_rate_mc(alloc, cfg, budget, mc, workers=2, bank=bank))
+
+    callers = [threading.Thread(target=call, args=(out,)) for out in results]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in callers:
+            t.start()
+        for t in callers:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in callers)
+    assert results == [[expected] * 10] * 4
+
+
+FORK_CHILD = """
+import json, os
+import macjam as mj
+os.cpu_count = lambda: 2
+cfg = mj.SystemConfig(40, (mj.UserParams(5.0, 8.0, 2), mj.UserParams(3.0, 2.0, 1)))
+alloc, budget = mj.JammerAllocation((0.3, 0.2), 0.5), mj.JammerBudget(4.0)
+mc = mj.MonteCarloSettings(samples=4 * 8192, seed=3)
+serial = mj.sum_rate_mc(alloc, cfg, budget, mc)
+assert mj.sum_rate_mc(alloc, cfg, budget, mc, workers=2) == serial
+inherited = mj.rates._helpers
+pid = os.fork()
+if pid == 0:
+    same = all(mj.sum_rate_mc(alloc, cfg, budget, mc, workers=2) == serial for _ in range(5))
+    print(json.dumps({"same": same, "own_pool": mj.rates._helpers not in (None, inherited)}), flush=True)
+    os._exit(0)
+os.waitpid(pid, 0)
+"""
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_forked_child_makes_its_own_helpers():
+    # A fork copies the pool but not its threads; the child's reports get a pool of their own.
+    env = dict(os.environ, PYTHONPATH=str(Path(mj.__file__).resolve().parents[1]))
+    child = subprocess.run(
+        [sys.executable, "-c", FORK_CHILD], env=env, capture_output=True, text=True, check=True, timeout=60
+    )
+    assert json.loads(child.stdout) == {"same": True, "own_pool": True}
 
 
 def test_bank_for_other_draws_is_rejected():
@@ -294,9 +378,14 @@ def test_sweep_draws_its_samples_once_if_they_fit(tmp_path, monkeypatch, max_byt
 
     monkeypatch.setattr(cli, "draw_samples", counting)
     monkeypatch.setattr(cli, "SWEEP_BANK_MAX_BYTES", max_bytes)
+    pool = _UnstartedPool()
+    monkeypatch.setattr(mj.rates, "_helpers", pool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
     rows = cli.run_sweep(spec, workers=2)
     assert len(rows) == 3
     assert calls == [(spec.mc, 2)] * draws
+    # Each of the 6 reports, from the bank or not, offers its second block to a helper.
+    assert len(pool.futures) == 6
     # With or without the shared bank, each report equals one that drew its own samples.
     cfg = mj.to_system_config(spec)
     for row in rows:
