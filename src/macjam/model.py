@@ -17,6 +17,10 @@ The input domain, each limit with the one function that enforces it:
   to tens of users, are the ranges the solvers are tested and certified on;
   any finite power is accepted, a training power > 0 and a data power or
   budget >= 0 (:class:`UserParams`, :class:`JammerBudget`);
+- a user whose products ``pt tt`` or ``pd pt`` overflow a float (above
+  ~1.8e308) makes the objective NaN; ``optimizer.solve`` then raises
+  ``SolverError``, because a NaN certificate never passes
+  (``optimizer._residual``);
 - a block of at most ``MAX_BLOCK_LEN`` = 2**53 symbols, longer than the
   users' training windows together (:func:`_require_lengths`);
 - sample, user and worker counts are integers >= 1 (:func:`_require_count`);

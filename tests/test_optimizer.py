@@ -291,8 +291,11 @@ def _pinned_lines(cfg, budget, points):
 
 
 # sha256 of _pinned_lines over _pinned_cases, recorded from the NumPy-vector
-# solver that the Python-float one replaced.
-PINNED_SHA256 = "6630ac9a9f0c98f5c43668a948d7cb22394d541f370302f57c72f8581b6755af"
+# solver that the Python-float one replaced, then re-recorded once the
+# certificate became NaN-propagating: only the ten inputs of the two
+# "nan_threshold" configs changed, where solve used to return rho* = NaN with
+# residual 0 and now raises SolverError, and their points' residuals read NaN.
+PINNED_SHA256 = "c49427dd46f8320ded8a9c3d3589f85b5397b722cef5789eb1c34ad5cb49e5ee"
 
 
 def test_primary_solver_keeps_every_recorded_bit():
@@ -303,6 +306,40 @@ def test_primary_solver_keeps_every_recorded_bit():
     assert len(cases) >= 2000
     lines = [line for case in cases for line in _pinned_lines(*case)]
     assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == PINNED_SHA256
+
+
+@pytest.mark.parametrize("case", [name for name in EXTREME_CONFIGS if name.startswith("nan")])
+@pytest.mark.parametrize("pw", [0.0, 1.0])
+def test_a_nan_objective_never_certifies(case, pw):
+    # A user whose pt tt and pd pt overflow makes rho NaN.  A certificate that
+    # takes Python's max drops a NaN (max(0.0, nan) is 0.0), and solve then
+    # returned rho* = NaN with residual 0, at a zero budget (the flat path)
+    # as well as at a positive one.
+    cfg = EXTREME_CONFIGS[case]
+    budget = mj.JammerBudget(pw)
+    with pytest.raises(mj.SolverError, match=r"residual nan"):
+        mj.solve(cfg, budget)
+    center = [1.0 / (cfg.n_users + 1)] * cfg.n_users
+    residual, lam = mj.evaluate_kkt(center, center[0], 0.5, cfg, budget)
+    assert np.isnan(lam).any() and math.isnan(residual)
+
+
+def test_a_nan_certificate_loses_to_a_finite_one(monkeypatch):
+    # A relative 1e-9 past the second user's switch-on energy, solve_kkt builds
+    # two rows; the first row's certificate is made NaN here.
+    cfg = two_users((10.0, 20.0), (30.0, 10.0), (1, 2))
+    budget = _transition_budgets(cfg)[1]
+    expected = mj.solve_kkt(cfg, budget)
+    build, built = opt._build_result, []
+
+    def first_nan(*args, **kwargs):
+        res = build(*args, **kwargs)
+        built.append(res if built else replace(res, kkt_residual=math.nan))
+        return built[-1]
+
+    monkeypatch.setattr(opt, "_build_result", first_nan)
+    assert mj.solve_kkt(cfg, budget) == expected
+    assert len(built) == 2 and math.isnan(built[0].kkt_residual)
 
 
 @pytest.mark.parametrize("case", [name for name in EXTREME_CONFIGS if name.startswith("nan")])
@@ -693,6 +730,50 @@ def test_descent_agrees_with_solve_over_extreme_range():
         rho = mj.solve(cfg, budget).rho_star
         desc = mj.solve_projected_descent(cfg, budget)
         assert abs(desc.rho_star - rho) <= 1e-9 * rho, (i, cfg, budget)
+
+
+# sha256 over the ends of the first 10 configs of this draw, one
+# repr(([alloc float.hex...], rho*.hex(), iterations)) per line, recorded when
+# every line-search trial of the descent recomputed all K users' terms.
+TENS_OF_USERS_SHA256 = "432076e92b5236f1194b2271c3634ef983208021bb698016e8a0c0f58c9d3f0d"
+
+
+def test_descent_at_tens_of_users_agrees_with_solve_and_keeps_every_bit():
+    # K 16/24/32, powers -30..80 dB, budgets -40..100 dB, windows of 1-3 symbols.
+    rng = np.random.default_rng(8)
+    lines = []
+    for i in range(10):
+        cfg = random_config(rng, k=(16, 24, 32)[i % 3], p_lo=1e-3, p_hi=1e8, max_train_len=3)
+        budget = random_budget(rng, -40.0, 100.0)
+        res = mj.solve_projected_descent(cfg, budget)
+        rho = mj.solve(cfg, budget).rho_star
+        assert abs(res.rho_star - rho) <= 1e-9 * rho, (i, cfg, budget)
+        lines.append(repr(([v.hex() for v in res.alloc.as_vector()], res.rho_star.hex(), res.iterations)))
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == TENS_OF_USERS_SHA256
+
+
+def test_pair_trial_gives_the_bits_of_rho_z_at_the_moved_point():
+    # The data coordinate (index K) as up, as down and as neither; t at 0, at
+    # both edges of the segment and inside it; K up to 12, so from 8 users the
+    # sums are NumPy's pairwise ones.
+    rng = np.random.default_rng(26)
+    for i in range(48):
+        k = 1 + i % 12
+        cfg = random_config(rng, k=k, p_lo=1e-3, p_hi=1e8, max_train_len=50)
+        sys = opt._sys(cfg, random_budget(rng, -40.0, 100.0))
+        point = rng.dirichlet(np.ones(k + 1)).tolist()
+        alphas, betas, _ = opt._terms_z(sys, point)
+        pairs = [(k, int(rng.integers(k))), (int(rng.integers(k)), k)]
+        if k > 1:
+            pairs.append(tuple(rng.choice(k, size=2, replace=False).tolist()))
+        for up, down in pairs:
+            phi = opt._pair_trial(sys, point, alphas, betas, up, down)
+            lo, hi = -point[up], point[down]
+            for t in (0.0, lo, hi, *rng.uniform(lo, hi, size=3).tolist()):
+                trial = list(point)
+                trial[up] += t
+                trial[down] = point[down] - t
+                assert phi(t).hex() == opt._rho_z(trial, sys).hex(), (i, up, down, t)
 
 
 def test_descent_from_optimum_stops_immediately():
