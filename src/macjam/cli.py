@@ -243,9 +243,10 @@ class _ResultFile:
 
 def _cmd_optimize(args) -> int:
     _, cfg, pw_db, budget = _load_point(args)
+    # Solved before anything is printed, so a solver failure prints only its own line.
+    result = solve(cfg, budget)
     print(f"P_w = {pw_db:g} dB")
     _print_activation(cfg)
-    result = solve(cfg, budget)
     _print_result(result)
     if args.out:
         doc = _ResultFile(

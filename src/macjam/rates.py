@@ -172,63 +172,41 @@ def draw_samples(mc: MonteCarloSettings, n_users: int) -> SampleBank:
     return SampleBank(mc.seed, mc.samples, n_users, draws)
 
 
-# The helper threads of every threaded report, made on the first one and kept for
-# the life of the process; see _price_all.
-_helpers = None
-_helpers_made = threading.Lock()
-
-
-def _helper_pool():
-    global _helpers
-    with _helpers_made:
-        if _helpers is None:
-            # Imported on first use, so that ``import macjam`` does not load it.
-            from concurrent.futures import ThreadPoolExecutor
-
-            # The calling thread prices blocks too, so one thread fewer than the
-            # CPUs can run every report at full width.
-            _helpers = ThreadPoolExecutor(max_workers=os.cpu_count() - 1, thread_name_prefix="macjam-mc")
-        return _helpers
-
-
-def _forget_helpers():
-    """In a forked child: the pool's threads are not copied, so the child makes its own."""
-    global _helpers, _helpers_made
-    _helpers, _helpers_made = None, threading.Lock()
-
-
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_forget_helpers)
-
-
 def _price_all(price, count: int, threads: int) -> list:
     """``[price(i) for i in range(count)]``, priced by the calling thread and ``threads - 1`` helpers.
 
     Every thread takes the next index from one shared counter, and result ``i``
-    goes into slot ``i``.  Once the counter runs out the caller cancels the
-    helpers that have not started, so it never waits on a busy pool; it waits
-    only for a started helper's last index."""
+    goes into slot ``i``.  The helpers start here and are joined before this
+    returns or raises.  Once any thread raises, no thread takes another index,
+    and the first exception is raised here after every helper has ended."""
     results = [None] * count
     indices = iter(range(count))
     take = threading.Lock()
+    errors = []
 
     def work():
-        while True:
-            with take:
-                i = next(indices, None)
-            if i is None:
-                return
-            results[i] = price(i)
+        try:
+            while not errors:
+                with take:
+                    i = next(indices, None)
+                if i is None:
+                    return
+                results[i] = price(i)
+        except BaseException as exc:
+            errors.append(exc)
 
-    helpers = [_helper_pool().submit(work) for _ in range(threads - 1)]
+    helpers = []
     try:
+        for _ in range(threads - 1):
+            t = threading.Thread(target=work, name="macjam-mc")
+            t.start()
+            helpers.append(t)
         work()
     finally:
-        for f in helpers:
-            f.cancel()
-    for f in helpers:
-        if not f.cancelled():
-            f.result()
+        for t in helpers:
+            t.join()
+    if errors:
+        raise errors[0]
     return results
 
 
@@ -257,13 +235,13 @@ def sum_rate_mc(
     at K = 32.
 
     The report uses ``threads = min(workers, blocks, os.cpu_count())`` threads:
-    the calling thread and ``threads - 1`` helpers from one thread pool that
-    the first threaded report makes and every later one shares.  Each thread
-    takes the next block until none is left (with a bank, the next span of
-    ``min(32, ceil(blocks / threads))`` blocks); the caller then cancels the
-    helpers that have not started, so a busy pool only makes it price more
-    itself.  BLAS may use its own threads for the product, which changes no
-    bit either.
+    the calling thread and ``threads - 1`` helper threads that start with this
+    call and end before it returns or raises.  Each thread takes the next block
+    until none is left (with a bank, the next span of ``min(32, ceil(blocks /
+    threads))`` blocks).  An exception in any thread stops every thread from
+    taking more, and is raised here once the helpers have ended.  Concurrent
+    callers each start their own helpers.  BLAS may use its own threads for the
+    product, which changes no bit either.
     """
     _require_count("workers", workers)
     coeffs, pref = _sinr_coeffs(alloc, cfg, budget)

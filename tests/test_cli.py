@@ -455,6 +455,27 @@ def test_solver_failure_exits_1(tmp_path, capsys, monkeypatch):
     assert not (tmp_path / "out").exists()
 
 
+# A user whose pt tt and pd pt overflow: rho and two activation powers are NaN.
+OVERFLOW_POINT = """\
+block_len: 1099511627776
+users:
+  - {train_len: 10000000000, train_power_db: 3000.0, data_power_db: 100.0}
+  - {train_len: 3, train_power_db: 10.0, data_power_db: 10.0}
+jammer: {power_db: 0.0}
+mc: {samples: 1000, seed: 1}
+output: overflow
+"""
+
+
+def test_optimize_prints_nothing_before_a_solver_failure(tmp_path, capsys):
+    path = tmp_path / "overflow.scenario"
+    path.write_text(OVERFLOW_POINT)
+    assert main(["optimize", str(path)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("solver failure: ")
+
+
 # A valid one-point scenario, with a budget-form user; each case below breaks it once.
 POINT = {
     "block_len": 20,

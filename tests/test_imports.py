@@ -1,7 +1,8 @@
 """What ``import macjam`` loads, checked in a fresh interpreter.
 
-PyYAML, ``concurrent.futures`` and ``numpy.random`` are imported by the
-functions that use them, so a process that only solves never loads them.
+PyYAML and ``numpy.random`` are imported by the functions that use them, so a
+process that only solves never loads them.  macjam never loads
+``concurrent.futures``: a threaded Monte Carlo report starts plain threads.
 """
 
 import json
@@ -16,7 +17,7 @@ import macjam as mj
 SRC = Path(mj.__file__).resolve().parents[1]
 
 CHILD = """
-import json, sys
+import json, os, sys
 import numpy
 numpy_loads_random = "numpy.random" in sys.modules
 lazy = ("yaml", "concurrent.futures", "numpy.random")
@@ -31,7 +32,12 @@ try:
 except mj.ScenarioError as exc:
     error = str(exc)
 spec = mj.load_scenario(mj.bundled_scenario_path("fig2.scenario"))
+os.cpu_count = lambda: 2
+cfg = mj.to_system_config(spec)
+budget = mj.JammerBudget(1.0)
+mj.sum_rate_mc(mj.uniform_allocation(cfg), cfg, budget, mj.MonteCarloSettings(2 * 8192), workers=2)
 print(json.dumps({
+    "threaded_report_loads_futures": "concurrent.futures" in sys.modules,
     "numpy_loads_random": numpy_loads_random,
     "loaded": loaded,
     "error": error,
@@ -53,3 +59,4 @@ def test_import_leaves_yaml_threads_and_numpy_random_unloaded():
     # ScenarioError naming the source, and still writes what it reads.
     assert seen["error"] is not None and seen["error"].startswith("bad.scenario: parse error: ")
     assert seen["round_trip"]
+    assert not seen["threaded_report_loads_futures"]

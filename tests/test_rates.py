@@ -1,4 +1,3 @@
-import concurrent.futures
 import json
 import math
 import os
@@ -218,15 +217,14 @@ def test_bank_report_temporaries_stay_within_one_span():
     assert bank.draws.tobytes() == before
 
 
-class _UnstartedPool:
-    """A stand-in for the helper pool whose futures never start: it records them and runs nothing."""
+class _CountedThread(threading.Thread):
+    """A ``threading.Thread`` that counts its starts in ``started``."""
 
-    def __init__(self):
-        self.futures = []
+    started = 0
 
-    def submit(self, fn):
-        self.futures.append(concurrent.futures.Future())
-        return self.futures[-1]
+    def start(self):
+        type(self).started += 1
+        super().start()
 
 
 @pytest.mark.parametrize(
@@ -234,44 +232,63 @@ class _UnstartedPool:
     [(64, 3 * 8192, 3), (2, 3 * 8192, 2), (None, 3 * 8192, None), (64, 8192, None)],
 )
 def test_thread_pool_is_capped_at_blocks_and_cpus(monkeypatch, cpus, samples, threads):
-    # The caller is one of the threads: the pool gets the others, none where one thread runs.
+    # The caller is one of the threads: it starts the others, none where one thread runs.
     alloc, cfg, budget = _setup(4)
     mc = mj.MonteCarloSettings(samples=samples, seed=8)
     expected = mj.sum_rate_mc(alloc, cfg, budget, mc)
-    pool = _UnstartedPool()
-    monkeypatch.setattr(mj.rates, "_helpers", pool)
+    monkeypatch.setattr(threading, "Thread", _CountedThread)
     monkeypatch.setattr(os, "cpu_count", lambda: cpus)
     for bank in (None, mj.draw_samples(mc, 4)):
-        pool.futures.clear()
+        monkeypatch.setattr(_CountedThread, "started", 0)
+        before = threading.active_count()
         assert mj.sum_rate_mc(alloc, cfg, budget, mc, workers=1_000_000, bank=bank) == expected
-        assert len(pool.futures) == (threads or 1) - 1
+        assert _CountedThread.started == (threads or 1) - 1
+        assert threading.active_count() == before
 
 
-def test_caller_prices_every_block_when_no_helper_starts(monkeypatch):
+class _Boom(Exception):
+    pass
+
+
+@pytest.mark.parametrize("banked", [False, True], ids=["fresh", "bank"])
+@pytest.mark.parametrize("failing", ["helper", "caller"])
+def test_an_error_in_any_thread_is_raised_after_every_helper_ends(monkeypatch, failing, banked):
     alloc, cfg, budget = _setup(4)
-    mc = mj.MonteCarloSettings(samples=5 * 8192 + 3, seed=6)
+    mc = mj.MonteCarloSettings(samples=6 * 8192, seed=9)
+    bank = mj.draw_samples(mc, 4) if banked else None
     expected = mj.sum_rate_mc(alloc, cfg, budget, mc)
-    pool = _UnstartedPool()
-    monkeypatch.setattr(mj.rates, "_helpers", pool)
-    monkeypatch.setattr(os, "cpu_count", lambda: 4)
-    for bank in (None, mj.draw_samples(mc, 4)):
-        assert mj.sum_rate_mc(alloc, cfg, budget, mc, workers=3, bank=bank) == expected
-    assert len(pool.futures) == 4
-    assert all(f.cancelled() for f in pool.futures)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    caller = threading.current_thread()
+    entered = {"caller": threading.Event(), "helper": threading.Event()}
+    priced, helpers = [], []
+    reduce = mj.rates._reduce
 
+    def flaky(*args):
+        role = "caller" if threading.current_thread() is caller else "helper"
+        other = "helper" if role == "caller" else "caller"
+        priced.append(role)
+        if role == "helper":
+            helpers.append(threading.current_thread())
+        entered[role].set()
+        # Each thread waits for the other to take a block, so both price one.
+        assert entered[other].wait(timeout=30)
+        if role == failing:
+            raise _Boom(role)
+        if role == "caller":
+            # Returns once the failed helper has ended: no block may be taken after that.
+            helpers[0].join(timeout=30)
+            assert not helpers[0].is_alive()
+        return reduce(*args)
 
-def test_helper_pool_is_made_once():
-    alloc, cfg, budget = _setup(4)
-    mc = mj.MonteCarloSettings(samples=4 * 8192, seed=2)
-    expected = mj.sum_rate_mc(alloc, cfg, budget, mc)
-    # Makes the pool, if no earlier test did, and starts its threads.
-    for _ in range(5):
-        assert mj.sum_rate_mc(alloc, cfg, budget, mc, workers=1_000_000) == expected
-    pool, before = mj.rates._helpers, threading.active_count()
-    for _ in range(20):
-        assert mj.sum_rate_mc(alloc, cfg, budget, mc, workers=2) == expected
-    assert threading.active_count() <= before
-    assert mj.rates._helpers is pool
+    before = threading.active_count()
+    assert mj.sum_rate_mc(alloc, cfg, budget, mc, workers=2, bank=bank) == expected
+    assert threading.active_count() == before
+    monkeypatch.setattr(mj.rates, "_reduce", flaky)
+    with pytest.raises(_Boom, match=failing):
+        mj.sum_rate_mc(alloc, cfg, budget, mc, workers=2, bank=bank)
+    assert threading.active_count() == before
+    if failing == "helper":
+        assert sorted(priced) == ["caller", "helper"]
 
 
 def test_concurrent_callers_get_the_serial_bits():
@@ -309,24 +326,23 @@ alloc, budget = mj.JammerAllocation((0.3, 0.2), 0.5), mj.JammerBudget(4.0)
 mc = mj.MonteCarloSettings(samples=4 * 8192, seed=3)
 serial = mj.sum_rate_mc(alloc, cfg, budget, mc)
 assert mj.sum_rate_mc(alloc, cfg, budget, mc, workers=2) == serial
-inherited = mj.rates._helpers
 pid = os.fork()
 if pid == 0:
     same = all(mj.sum_rate_mc(alloc, cfg, budget, mc, workers=2) == serial for _ in range(5))
-    print(json.dumps({"same": same, "own_pool": mj.rates._helpers not in (None, inherited)}), flush=True)
+    print(json.dumps({"same": same}), flush=True)
     os._exit(0)
 os.waitpid(pid, 0)
 """
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
-def test_forked_child_makes_its_own_helpers():
-    # A fork copies the pool but not its threads; the child's reports get a pool of their own.
+def test_forked_child_gets_the_serial_bits_on_threads():
+    # A child forked after a threaded report starts helpers of its own for its reports.
     env = dict(os.environ, PYTHONPATH=str(Path(mj.__file__).resolve().parents[1]))
     child = subprocess.run(
         [sys.executable, "-c", FORK_CHILD], env=env, capture_output=True, text=True, check=True, timeout=60
     )
-    assert json.loads(child.stdout) == {"same": True, "own_pool": True}
+    assert json.loads(child.stdout) == {"same": True}
 
 
 def test_bank_for_other_draws_is_rejected():
@@ -378,14 +394,14 @@ def test_sweep_draws_its_samples_once_if_they_fit(tmp_path, monkeypatch, max_byt
 
     monkeypatch.setattr(cli, "draw_samples", counting)
     monkeypatch.setattr(cli, "SWEEP_BANK_MAX_BYTES", max_bytes)
-    pool = _UnstartedPool()
-    monkeypatch.setattr(mj.rates, "_helpers", pool)
+    monkeypatch.setattr(threading, "Thread", _CountedThread)
+    monkeypatch.setattr(_CountedThread, "started", 0)
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
     rows = cli.run_sweep(spec, workers=2)
     assert len(rows) == 3
     assert calls == [(spec.mc, 2)] * draws
-    # Each of the 6 reports, from the bank or not, offers its second block to a helper.
-    assert len(pool.futures) == 6
+    # Each of the 6 reports, from the bank or not, starts one helper for its second block.
+    assert _CountedThread.started == 6
     # With or without the shared bank, each report equals one that drew its own samples.
     cfg = mj.to_system_config(spec)
     for row in rows:
