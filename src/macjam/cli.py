@@ -16,7 +16,7 @@ from typing import get_type_hints
 import yaml
 
 from .model import JammerAllocation, JammerBudget, SystemConfig, _require_count, uniform_allocation
-from .optimizer import SolveResult, SolverError, _energy, activation_powers, solve, solve_kkt, solve_oracle
+from .optimizer import SolveResult, SolverError, _energy, _nan_last, activation_powers, solve, solve_kkt, solve_oracle
 from .rates import MonteCarloSettings, RateReport, draw_samples, rate_report
 from .scenario import (
     ScenarioError,
@@ -192,9 +192,11 @@ def write_plot_script(stem: str, n_users: int, path: Path) -> None:
 def _print_activation(cfg: SystemConfig) -> None:
     """The P_w above which each energy ratio is positive, in switch-on order."""
     powers = activation_powers(cfg)
-    for idx in sorted(range(len(powers)), key=powers.__getitem__):
+    for idx in sorted(range(len(powers)), key=lambda i: _nan_last(powers[i])):
         name = f"zeta_t[{idx + 1}]" if idx < cfg.n_users else "zeta_d"
-        if powers[idx] == math.inf:
+        if math.isnan(powers[idx]):
+            print(f"activation: {name} switch-on power unknown (nan)")
+        elif powers[idx] == math.inf:
             print(f"activation: {name} never positive")
         else:
             pw_db = linear_to_db(powers[idx]) if powers[idx] > 0.0 else -math.inf
@@ -350,11 +352,11 @@ def _build_parser() -> argparse.ArgumentParser:
         type=int,
         default=1,
         metavar="N",
-        help="threads that price each rate report (the caller and N - 1 helpers); a sweep "
-        "draws its samples once, on one thread, into one array if they take at most "
-        f"{SWEEP_BANK_MAX_BYTES // 2**20} MiB (samples x K x 8 bytes) and prices each report "
-        "from it in up to N spans of at most 32 blocks, else each report draws them again; "
-        "the output is the same bits for every N",
+        help="threads that price each rate report that draws its own samples (the caller and "
+        "N - 1 helpers); a sweep draws its samples once, on one thread, into one array if they "
+        f"take at most {SWEEP_BANK_MAX_BYTES // 2**20} MiB (samples x K x 8 bytes) and prices "
+        "each report from it on the calling thread, with BLAS threading the product; else each "
+        "report draws them again on N threads; the output is the same bits for every N",
     )
     p_sweep.set_defaults(handler=_cmd_sweep)
 

@@ -18,9 +18,9 @@ The input domain, each limit with the one function that enforces it:
   any finite power is accepted, a training power > 0 and a data power or
   budget >= 0 (:class:`UserParams`, :class:`JammerBudget`);
 - a user whose products ``pt tt`` or ``pd pt`` overflow a float (above
-  ~1.8e308) makes the objective NaN; ``optimizer.solve`` then raises
-  ``SolverError``, because a NaN certificate never passes
-  (``optimizer._residual``);
+  ~1.8e308) can make the objective NaN or infinite; ``optimizer.solve`` then
+  raises ``SolverError``, because a non-finite objective never certifies (its
+  certificate is NaN: ``optimizer._residual``, ``optimizer._flat_result``);
 - a block of at most ``MAX_BLOCK_LEN`` = 2**53 symbols, longer than the
   users' training windows together (:func:`_require_lengths`);
 - sample, user and worker counts are integers >= 1 (:func:`_require_count`);

@@ -237,6 +237,14 @@ def _quotients(numerators, divisor: float) -> list[float]:
     return [a * math.copysign(math.inf, divisor) for a in numerators]
 
 
+def _square(x: float) -> float:
+    """``x ** 2``, or NumPy's ``inf`` where Python would raise ``OverflowError``."""
+    try:
+        return x ** 2
+    except OverflowError:
+        return math.inf
+
+
 def _flat(sys: _Sys) -> bool:
     """A zero budget, or no user with ``w > 0``: every allocation is then optimal."""
     return sys.energy == 0.0 or not any(sys.w)
@@ -246,7 +254,7 @@ def _grad(sys: _Sys, zt, zd: float) -> tuple[list[float], float]:
     energy, pd = sys.energy, sys.pd
     s = [p * t / (1.0 + z * energy / t) for z, p, t in zip(zt, sys.pt, sys.tt)]
     gamma = 1.0 / (1.0 + zd * energy / sys.Td)
-    e_fac2 = (1.0 + gamma * _user_sum([d / (1.0 + s_k) for d, s_k in zip(pd, s)])) ** 2
+    e_fac2 = _square(1.0 + gamma * _user_sum([d / (1.0 + s_k) for d, s_k in zip(pd, s)]))
     scale, c = -energy * gamma, 1.0 + gamma * sys.S
     d_t = [energy * z + x for z, x in zip(zt, sys.x)]
     g_t = [scale * d * p * (t * t) * c / ((v * v) * e_fac2) for d, p, t, v in zip(pd, sys.pt, sys.tt, d_t)]
@@ -452,8 +460,8 @@ def _path(sys: _Sys):
 
 def _flat_result(cfg: SystemConfig, sys: _Sys, method: str) -> SolveResult:
     """The duration-proportional split, certified with ``nu`` and residual 0, on
-    a flat objective; the residual is NaN where rho is (a user's powers
-    overflow), so that no NaN certifies."""
+    a flat objective; the residual is NaN where rho is not finite (a user's
+    powers overflow), so that no NaN or infinite rho certifies."""
     alloc = uniform_allocation(cfg)
     rho = _rho_z([*alloc.zeta_t, alloc.zeta_d], sys)
     return SolveResult(
@@ -463,7 +471,7 @@ def _flat_result(cfg: SystemConfig, sys: _Sys, method: str) -> SolveResult:
         lambdas=(0.0,) * (cfg.n_users + 1),
         active_set=(),
         method=method,
-        kkt_residual=math.nan if math.isnan(rho) else 0.0,
+        kkt_residual=0.0 if math.isfinite(rho) else math.nan,
         iterations=0,
     )
 

@@ -51,7 +51,7 @@ _LN2 = math.log(2.0)
 # and worker count changes who computes a block, never its content.
 _BLOCK = 8192
 
-# A bank's report is priced in spans of at most this many blocks, so the kernel's
+# A bank's report is priced in spans of this many blocks, so the kernel's
 # temporaries stay at 2 MiB (32 x 8192 doubles) at any sample count.
 _SPAN_BLOCKS = 32
 
@@ -150,7 +150,8 @@ class SampleBank:
     (common random numbers) draw their samples once.  ``draws`` is a read-only,
     C-contiguous ``(samples, n_users)`` array whose rows ``[b * 8192, (b + 1) * 8192)``
     are block ``b``'s draws.  It holds ``samples * n_users * 8`` bytes: 6.4 MB
-    for 200,000 samples of 4 users, 51 MB at 32 users.
+    for 200,000 samples of 4 users, 51 MB at 32 users.  A report priced from a
+    bank runs on the calling thread; only BLAS threads its product.
     """
 
     seed: int
@@ -234,22 +235,23 @@ def sum_rate_mc(
     keeps it: 6.4 MB for the bundled fig2 sweep (200,000 samples, K = 4), 51 MB
     at K = 32.
 
-    The report uses ``threads = min(workers, blocks, os.cpu_count())`` threads:
-    the calling thread and ``threads - 1`` helper threads that start with this
-    call and end before it returns or raises.  Each thread takes the next block
-    until none is left (with a bank, the next span of ``min(32, ceil(blocks /
-    threads))`` blocks).  An exception in any thread stops every thread from
-    taking more, and is raised here once the helpers have ended.  Concurrent
-    callers each start their own helpers.  BLAS may use its own threads for the
-    product, which changes no bit either.
+    A report with a bank runs on the calling thread, and ``workers`` only
+    threads a report that draws its own samples.  That report uses ``threads =
+    min(workers, blocks, os.cpu_count())`` threads: the calling thread and
+    ``threads - 1`` helper threads that start with this call and end before it
+    returns or raises.  Each thread takes the next block until none is left.
+    An exception in any thread stops every thread from taking more, and is
+    raised here once the helpers have ended.  Concurrent callers each start
+    their own helpers.  BLAS may use its own threads for the product, with or
+    without a bank, which changes no bit either.
     """
     _require_count("workers", workers)
     coeffs, pref = _sinr_coeffs(alloc, cfg, budget)
-    blocks = -(-mc.samples // _BLOCK)
-    threads = min(workers, blocks)
-    if threads > 1:
-        threads = min(threads, os.cpu_count() or 1)
     if bank is None:
+        blocks = -(-mc.samples // _BLOCK)
+        threads = min(workers, blocks)
+        if threads > 1:
+            threads = min(threads, os.cpu_count() or 1)
         k = coeffs.size
         sizes = _block_sizes(mc.samples)
         stats = _price_all(lambda i: _reduce(_draw_block(mc.seed, *sizes[i], k), coeffs, pref), blocks, threads)
@@ -259,13 +261,8 @@ def sum_rate_mc(
             raise ValueError(
                 f"sample bank drawn for (seed, samples, K) = {drawn_for}, asked for {asked}"
             )
-        # At most 32 blocks a span, and at most an even share of the blocks per thread.
-        span = min(_SPAN_BLOCKS, -(-blocks // threads)) * _BLOCK
-        stats = _price_all(
-            lambda i: _reduce(bank.draws[i * span : (i + 1) * span], coeffs, pref),
-            -(-mc.samples // span),
-            threads,
-        )
+        span = _SPAN_BLOCKS * _BLOCK
+        stats = [_reduce(bank.draws[i : i + span], coeffs, pref) for i in range(0, mc.samples, span)]
     n = mc.samples
     total = 0.0
     total_sq = 0.0

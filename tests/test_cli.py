@@ -173,6 +173,25 @@ def test_optimize_prints_a_silent_user_as_never_positive(tmp_path, capsys):
     assert lines[2] == "activation: zeta_t[2] never positive"
 
 
+def test_optimize_prints_a_nan_switch_on_power_last(tmp_path, capsys):
+    # The data phase's switch-on power overflows to NaN on a solve that succeeds.
+    path = tmp_path / "nan_power.scenario"
+    path.write_text(
+        "block_len: 76067469712\n"
+        "users:\n"
+        "  - {train_len: 108, train_power_db: 43.951, data_power_db: 2982.6}\n"
+        "  - {train_len: 6, train_power_db: 1512.9, data_power_db: 1005.98}\n"
+        "jammer: {power_db: -.inf}\n"
+        "mc: {samples: 1000, seed: 1}\n"
+        "output: nan_power\n"
+    )
+    assert main(["optimize", str(path)]) == 0
+    lines = [l for l in capsys.readouterr().out.splitlines() if l.startswith("activation: ")]
+    assert lines[0] == "activation: zeta_t[1] positive above -inf dB"
+    assert lines[1].startswith("activation: zeta_t[2] positive above ")
+    assert lines[2] == "activation: zeta_d switch-on power unknown (nan)"
+
+
 def test_optimize_symmetric_users_print_equal_shares(tmp_path, capsys):
     path = tmp_path / "sym.scenario"
     path.write_text(TWO_USER_POINT)
@@ -474,6 +493,28 @@ def test_optimize_prints_nothing_before_a_solver_failure(tmp_path, capsys):
     out, err = capsys.readouterr()
     assert out == ""
     assert len(err.splitlines()) == 1 and err.startswith("solver failure: ")
+
+
+# Huge data powers: at a small energy the gradient's squared factor overflows.
+GRAD_OVERFLOW_POINT = """\
+block_len: 5160930645
+users:
+  - {train_len: 9, train_power_db: 403.0557, data_power_db: 2201.01}
+  - {train_len: 1189100, train_power_db: 909.73, data_power_db: 650.82}
+  - {train_len: 5159740379, train_power_db: 2988.91, data_power_db: 2275.8}
+jammer: {power_db: 0.0}
+mc: {samples: 1000, seed: 1}
+output: grad_overflow
+"""
+
+
+def test_optimize_gradient_overflow_is_a_solver_failure(tmp_path, capsys):
+    path = tmp_path / "grad_overflow.scenario"
+    path.write_text(GRAD_OVERFLOW_POINT)
+    assert main(["optimize", str(path)]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and "Traceback" not in err
+    assert err == "solver failure: no candidate free set certifies the optimum (residual nan)\n"
 
 
 # A valid one-point scenario, with a budget-form user; each case below breaks it once.

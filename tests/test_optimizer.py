@@ -324,6 +324,18 @@ def test_a_nan_objective_never_certifies(case, pw):
     assert np.isnan(lam).any() and math.isnan(residual)
 
 
+def test_an_infinite_objective_never_certifies():
+    # pt tt and pd pt overflow to inf, not NaN: at a zero budget the flat
+    # result's rho is inf, and its certificate used to read 0.
+    db = mj.db_to_linear
+    cfg = mj.SystemConfig(743937848, (U(db(1573.4285), db(1563.55), 437237856), U(db(836.348), db(188.657), 58)))
+    budget = mj.JammerBudget(0.0)
+    with np.errstate(over="ignore"):
+        assert mj.objective_rho(mj.uniform_allocation(cfg), cfg, budget) == math.inf
+    with pytest.raises(mj.SolverError, match=r"residual nan"):
+        mj.solve(cfg, budget)
+
+
 def test_a_nan_certificate_loses_to_a_finite_one(monkeypatch):
     # A relative 1e-9 past the second user's switch-on energy, solve_kkt builds
     # two rows; the first row's certificate is made NaN here.

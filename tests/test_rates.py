@@ -232,18 +232,35 @@ class _CountedThread(threading.Thread):
     [(64, 3 * 8192, 3), (2, 3 * 8192, 2), (None, 3 * 8192, None), (64, 8192, None)],
 )
 def test_thread_pool_is_capped_at_blocks_and_cpus(monkeypatch, cpus, samples, threads):
-    # The caller is one of the threads: it starts the others, none where one thread runs.
+    # The caller is one of the threads: it starts the others, none where one
+    # thread runs.  A banked report runs on the caller alone.
     alloc, cfg, budget = _setup(4)
     mc = mj.MonteCarloSettings(samples=samples, seed=8)
     expected = mj.sum_rate_mc(alloc, cfg, budget, mc)
     monkeypatch.setattr(threading, "Thread", _CountedThread)
     monkeypatch.setattr(os, "cpu_count", lambda: cpus)
-    for bank in (None, mj.draw_samples(mc, 4)):
+    for bank, helpers in ((None, (threads or 1) - 1), (mj.draw_samples(mc, 4), 0)):
         monkeypatch.setattr(_CountedThread, "started", 0)
         before = threading.active_count()
         assert mj.sum_rate_mc(alloc, cfg, budget, mc, workers=1_000_000, bank=bank) == expected
-        assert _CountedThread.started == (threads or 1) - 1
+        assert _CountedThread.started == helpers
         assert threading.active_count() == before
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3, 1_000_000])
+def test_banked_report_starts_no_thread(monkeypatch, workers):
+    # Two spans of K = 2: the first of 32 blocks, then one block and a tail.
+    alloc, cfg, budget = _setup(2)
+    mc = mj.MonteCarloSettings(samples=33 * 8192 + 5, seed=6)
+    bank = mj.draw_samples(mc, 2)
+    expected = mj.sum_rate_mc(alloc, cfg, budget, mc, bank=bank)
+    monkeypatch.setattr(threading, "Thread", _CountedThread)
+    monkeypatch.setattr(_CountedThread, "started", 0)
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    before = threading.active_count()
+    assert mj.sum_rate_mc(alloc, cfg, budget, mc, workers=workers, bank=bank) == expected
+    assert _CountedThread.started == 0
+    assert threading.active_count() == before
 
 
 class _Boom(Exception):
@@ -267,6 +284,9 @@ def test_an_error_in_any_thread_is_raised_after_every_helper_ends(monkeypatch, f
         role = "caller" if threading.current_thread() is caller else "helper"
         other = "helper" if role == "caller" else "caller"
         priced.append(role)
+        if banked:
+            # A banked report starts no helper: its one span fails on the caller.
+            raise _Boom(failing)
         if role == "helper":
             helpers.append(threading.current_thread())
         entered[role].set()
@@ -287,7 +307,9 @@ def test_an_error_in_any_thread_is_raised_after_every_helper_ends(monkeypatch, f
     with pytest.raises(_Boom, match=failing):
         mj.sum_rate_mc(alloc, cfg, budget, mc, workers=2, bank=bank)
     assert threading.active_count() == before
-    if failing == "helper":
+    if banked:
+        assert priced == ["caller"]
+    elif failing == "helper":
         assert sorted(priced) == ["caller", "helper"]
 
 
@@ -400,8 +422,9 @@ def test_sweep_draws_its_samples_once_if_they_fit(tmp_path, monkeypatch, max_byt
     rows = cli.run_sweep(spec, workers=2)
     assert len(rows) == 3
     assert calls == [(spec.mc, 2)] * draws
-    # Each of the 6 reports, from the bank or not, starts one helper for its second block.
-    assert _CountedThread.started == 6
+    # Each of the 6 reports that draws its own samples starts one helper for its
+    # second block; a report priced from the bank starts none.
+    assert _CountedThread.started == 6 * (1 - draws)
     # With or without the shared bank, each report equals one that drew its own samples.
     cfg = mj.to_system_config(spec)
     for row in rows:
