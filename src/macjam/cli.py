@@ -13,9 +13,18 @@ from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 from typing import get_type_hints
 
+import numpy as np
 import yaml
 
-from .model import JammerAllocation, JammerBudget, SystemConfig, _require_count, uniform_allocation
+from .model import (
+    JammerAllocation,
+    JammerBudget,
+    SystemConfig,
+    _require_count,
+    objective_rho,
+    rho_from_estimation,
+    uniform_allocation,
+)
 from .optimizer import SolveResult, SolverError, _energy, _nan_last, activation_powers, solve, solve_kkt, solve_oracle
 from .rates import MonteCarloSettings, RateReport, draw_samples, rate_report
 from .scenario import (
@@ -289,6 +298,16 @@ def _cmd_rates(args) -> int:
         alloc = _load_alloc_file(args.alloc[len("file:"):], cfg)
     else:
         raise ScenarioError(f"unknown allocation choice {args.alloc!r}")
+    # Where the users' powers overflow a float, so does rho, in the ratio form the
+    # bounds price or the estimation form the Monte Carlo prices, and no rate is
+    # finite: one error line, before pricing warns on every array it overflows.
+    with np.errstate(all="ignore"):
+        rhos = objective_rho(alloc, cfg, budget), rho_from_estimation(alloc, cfg, budget)
+    if not all(map(math.isfinite, rhos)):
+        raise ScenarioError(
+            f"rho of this allocation is {rhos[0]!r} (ratio form) and {rhos[1]!r} (estimation form): "
+            "the users' powers overflow a float"
+        )
     report = rate_report(alloc, cfg, budget, spec.mc, workers=args.workers)
     print(f"P_w = {pw_db:g} dB, allocation = {args.alloc}")
     print(f"R_LB = {report.r_lb:.12g} bits/symbol")

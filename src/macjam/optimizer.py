@@ -44,19 +44,23 @@ and so do both reference solvers: the oracle's polish and the gradient pair
 descent value every line-search trial through one evaluator,
 :func:`_pair_trial`, which recomputes only the two moved users' terms
 (30 configs at K = 16-32: descent 6.4 s before, 2.4 s after, on a 2-core
-VM).  Only batch evaluation over many points, the oracle's start set and
-``model.rho_value``, stays on NumPy arrays.  Two rules give the float code
-the bits of the same formulas evaluated on NumPy vectors.  Sums: every sum
-over users is :func:`_user_sum`, which adds from 0.0 left to right up to 7
-terms and hands 8 or more to NumPy's pairwise sum, as ``ndarray.sum`` does.
+VM; the pairwise sum in Python, below, took ~30% more off).  Only batch
+evaluation over many points, the oracle's start set and
+``model.rho_value``, stays on NumPy arrays; no solve, polish or descent
+calls NumPy.  Two rules give the float code the bits of the same formulas
+evaluated on NumPy vectors.  Sums: every sum over users is
+:func:`_user_sum`, which adds from 0.0 left to right up to 7 terms and
+from 8 runs NumPy's pairwise algorithm in Python (:func:`_pairwise`), so
+it has the bits of ``ndarray.sum`` (a NaN sum's sign bit aside).
 Squares: ``** 2`` on an array multiplies, but on a scalar (a Python float
 or a NumPy scalar) it calls libm ``pow``, which can round differently; so a
 per-user square is written ``x * x`` and a square of one scalar for all
 users, ``(E zeta_d + T_d) ** 2`` and ``e_fac ** 2``, stays ``** 2``.
 
 Independent cross-checks: a closed-form interior solution valid at high
-jamming power, the infinite-power limit, a derivative-free multi-start
-oracle, and a gradient pair descent from one start.
+jamming power, the infinite-power limit, a derivative-free oracle that
+polishes once, from the best point of its seeded start set, and a gradient
+pair descent from one start.
 """
 
 from __future__ import annotations
@@ -210,12 +214,41 @@ def _sys(cfg: SystemConfig, budget: JammerBudget) -> _Sys:
 
 
 def _user_sum(values) -> float:
-    """The sum of the sequence ``values`` with the bits of ``ndarray.sum``:
-    from 0.0 left to right up to 7 terms, and NumPy's own pairwise sum from
-    8.  (Not ``sum``, which compensates from Python 3.12.)"""
+    """The sum of the sequence ``values`` with the bits of ``ndarray.sum``,
+    computed in Python: from 0.0 left to right up to 7 terms, and from 8
+    NumPy's pairwise sum (:func:`_pairwise`) added to 0.0, NumPy's initial
+    value.  A NaN sum may differ in its sign bit, as NumPy and Python keep
+    different operands' NaN.  (Not ``sum``, which compensates from Python
+    3.12.)"""
     if len(values) < 8:
         return functools.reduce(operator.add, values, 0.0)
-    return float(np.add.reduce(values))
+    return 0.0 + _pairwise(values)
+
+
+def _pairwise(values) -> float:
+    """NumPy's pairwise sum of 8 or more terms, on Python floats: up to 128
+    terms eight running sums, combined as ``((r0 + r1) + (r2 + r3)) +
+    ((r4 + r5) + (r6 + r7))``, then the terms after the last multiple of 8
+    left to right; above 128 the same for each half, split at half the
+    length rounded down to a multiple of 8."""
+    n = len(values)
+    if n > 128:
+        half = n // 2
+        half -= half % 8
+        return _pairwise(values[:half]) + _pairwise(values[half:])
+    r0, r1, r2, r3, r4, r5, r6, r7 = values[:8]
+    tail = n - n % 8
+    for i in range(8, tail, 8):
+        a0, a1, a2, a3, a4, a5, a6, a7 = values[i : i + 8]
+        r0 += a0
+        r1 += a1
+        r2 += a2
+        r3 += a3
+        r4 += a4
+        r5 += a5
+        r6 += a6
+        r7 += a7
+    return functools.reduce(operator.add, values[tail:], ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)))
 
 
 def _nan_or(extreme, values) -> float:
@@ -476,13 +509,20 @@ def _flat_result(cfg: SystemConfig, sys: _Sys, method: str) -> SolveResult:
     )
 
 
-def _build_result(sys: _Sys, z, method: str, iterations: int, nu: float | None = None) -> SolveResult:
+def _build_result(
+    sys: _Sys, z, method: str, iterations: int, nu: float | None = None, grad: list[float] | None = None
+) -> SolveResult:
+    """The result at the point ``z`` (data ratio last), renormalized by
+    :class:`JammerAllocation`.  ``grad``, the gradient at ``z``, is reused
+    where the renormalization returns ``z`` unchanged, and recomputed at the
+    renormalized point otherwise."""
     try:
         alloc = JammerAllocation(tuple(z[:-1]), z[-1])
     except ValueError as exc:
         raise SolverError(f"solver produced an infeasible allocation: {exc}", math.inf)
-    z = [*alloc.zeta_t, alloc.zeta_d]
-    g_all = _grad_z(sys, z)
+    z_alloc = [*alloc.zeta_t, alloc.zeta_d]
+    g_all = grad if grad is not None and z_alloc == z else _grad_z(sys, z_alloc)
+    z = z_alloc
     if nu is None:
         free = [g for g, v in zip(g_all, z) if v > ACTIVE_TOL]
         nu = max(0.0, -(_user_sum(free) / len(free))) if free else 0.0
@@ -528,8 +568,10 @@ def solve_kkt(cfg: SystemConfig, budget: JammerBudget) -> SolveResult:
             # A free ratio must be positive, and at a negative one the gradient can be NaN.
             if any(v <= 0.0 for v, f in zip(z, free) if f):
                 continue
-            g_free = [g for g, f in zip(_grad_z(sys, z), free) if f]
-            result = _build_result(sys, z, METHOD_KKT, len(rows), nu=-(_user_sum(g_free) / len(g_free)))
+            g_all = _grad_z(sys, z)
+            g_free = [g for g, f in zip(g_all, free) if f]
+            nu = -(_user_sum(g_free) / len(g_free))
+            result = _build_result(sys, z, METHOD_KKT, len(rows), nu=nu, grad=g_all)
             if best is None or _nan_last(result.kkt_residual) < _nan_last(best.kkt_residual):
                 best = result
     residual = math.inf if best is None else best.kkt_residual
@@ -569,14 +611,16 @@ def solve_closed_form(cfg: SystemConfig, budget: JammerBudget) -> SolveResult | 
     sys = _sys(cfg, budget)
     if _flat(sys):
         return None
-    eta = _user_sum(sys.w)
     delta = _user_sum([p * (t * t) for p, t in zip(sys.pt, sys.tt)])
-    t_t = _user_sum(sys.tt)
+    zd = 0.5 + (_user_sum(sys.tt) + delta - sys.Td * (1.0 + sys.S)) / (2.0 * sys.energy)
+    # The data ratio is one value: test it before building the K training ratios.
+    if not zd > 0.0:
+        return None
+    eta = _user_sum(sys.w)
     c = sys.energy + sys.T + delta + sys.Td * sys.S
     two_eta = 2.0 * eta
     z = _quotients([w * c - two_eta * t * (1.0 + p * t) for w, p, t in zip(sys.w, sys.pt, sys.tt)], 2.0 * sys.energy * eta)
-    zd = 0.5 + (t_t + delta - sys.Td * (1.0 + sys.S)) / (2.0 * sys.energy)
-    if not (all(v > 0.0 for v in z) and zd > 0.0):
+    if not all(v > 0.0 for v in z):
         return None
     z.append(zd)
     return _build_result(sys, z, METHOD_CLOSED_FORM, 0)

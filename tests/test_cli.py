@@ -495,6 +495,49 @@ def test_optimize_prints_nothing_before_a_solver_failure(tmp_path, capsys):
     assert len(err.splitlines()) == 1 and err.startswith("solver failure: ")
 
 
+# A user at 3000 dB in a short block: rho is inf in the ratio form.
+RATES_INF_POINT = """\
+block_len: 100
+users:
+  - {train_len: 3, train_power_db: 3000.0, data_power_db: 3000.0}
+  - {train_len: 3, train_power_db: 10.0, data_power_db: 10.0}
+jammer: {power_db: 0.0}
+mc: {samples: 1000, seed: 1}
+output: rates_inf
+"""
+
+# A user at 3022.6 dB over 4.9e6 symbols: rho is finite in the ratio form and
+# NaN in the estimation form the Monte Carlo prices.
+ESTIMATE_OVERFLOW_POINT = """\
+block_len: 5894273
+users:
+  - {train_len: 4866104, train_power_db: 3022.6, data_power_db: -16.8}
+  - {train_len: 1028163, train_power_db: 134.1, data_power_db: 1373.1}
+  - {train_len: 3, train_power_db: 14.6, data_power_db: -13.4}
+jammer: {power_db: -12.8}
+mc: {samples: 1000, seed: 1}
+output: estimate_overflow
+"""
+
+
+@pytest.mark.parametrize(
+    "text, forms",
+    [(RATES_INF_POINT, "inf (ratio form)"), (OVERFLOW_POINT, "nan (ratio form) and nan"),
+     (ESTIMATE_OVERFLOW_POINT, "and nan (estimation form)")],
+    ids=["ratio_inf", "both_nan", "estimate_nan"],
+)
+def test_rates_on_overflowing_powers_prints_one_error_line(tmp_path, capsys, text, forms):
+    # The suite turns warnings into errors, so a NumPy overflow warning while
+    # pricing fails this test before the error line is printed.
+    path = tmp_path / "overflow.scenario"
+    path.write_text(text)
+    assert main(["rates", str(path), "--alloc", "uniform"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: rho of this allocation is ")
+    assert forms in err and err.rstrip().endswith("the users' powers overflow a float")
+
+
 # Huge data powers: at a small energy the gradient's squared factor overflows.
 GRAD_OVERFLOW_POINT = """\
 block_len: 5160930645

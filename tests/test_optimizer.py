@@ -665,13 +665,26 @@ def test_float_polish_keeps_every_bit_of_the_array_polish_from_eight_users(monke
 
 
 def _assert_user_sum_is_ndarray_sum(n, draws):
+    # Magnitudes from 1e-300 to 1e300 of both signs, with NaN, +-inf,
+    # subnormals and signed zeros mixed in, as a list and as a tuple.
+    # float.hex reads every NaN as "nan": the sign bit of a NaN sum is not
+    # pinned, because NumPy's and Python's float add keep different operands'
+    # NaN.
     rng = np.random.default_rng(n)
+    specials = np.array([math.nan, math.inf, -math.inf, 5e-324, -2.5e-310, 1e-308])
+    # Only -0.0 terms: the one case where the pairwise sum alone is -0.0.
+    assert opt._user_sum([-0.0] * n).hex() == float(np.full(n, -0.0).sum()).hex() == "0x0.0p+0"
     for _ in range(draws):
         scale = 10.0 ** rng.uniform(-300.0, 300.0, size=1 if rng.random() < 0.5 else n)
         v = rng.uniform(1.0, 10.0, size=n) * scale * rng.choice([-1.0, 1.0], size=n)
         # Signed zeros too: NumPy sums from +0.0, so -0.0 alone sums to +0.0.
         v[rng.random(n) < 0.1] = rng.choice([0.0, -0.0])
-        assert opt._user_sum(v.tolist()).hex() == float(v.sum()).hex(), v.tolist()
+        mixed = rng.random(n) < rng.choice([0.0, 0.0, 0.01, 0.1])
+        v[mixed] = rng.choice(specials, size=int(mixed.sum()))
+        with np.errstate(invalid="ignore"):  # inf - inf
+            expected = float(v.sum()).hex()
+        assert opt._user_sum(v.tolist()).hex() == expected, v.tolist()
+        assert opt._user_sum(tuple(v.tolist())).hex() == expected, v.tolist()
 
 
 @pytest.mark.parametrize("n", range(1, 8))
@@ -681,10 +694,79 @@ def test_user_order_sum_is_ndarray_sum_up_to_seven_terms(n):
     _assert_user_sum_is_ndarray_sum(n, 3000)
 
 
-@pytest.mark.parametrize("n", range(8, 65))
+@pytest.mark.parametrize("n", [*range(8, 301), 511, 1025])
 def test_user_sum_is_ndarray_sum_from_eight_terms(n):
-    # From 8 terms NumPy sums pairwise, and _user_sum hands the sum to it.
-    _assert_user_sum_is_ndarray_sum(n, 300)
+    # From 8 terms NumPy sums pairwise, and so does _user_sum, in Python.
+    # Above 128 terms NumPy splits the sum in two, at half the length rounded
+    # down to a multiple of 8: 511 and 1,025 split twice and three times.
+    _assert_user_sum_is_ndarray_sum(n, 300 if n <= 64 else 20)
+
+
+class _NoNumPy:
+    """Stands in for ``optimizer.np``: any use of NumPy fails."""
+
+    def __getattr__(self, name):
+        raise AssertionError(f"the float solvers called numpy.{name}")
+
+
+def _solver_fields(solver, cfg, budget):
+    try:
+        res = solver(cfg, budget)
+    except opt.SolverError as exc:
+        return str(exc)
+    if res is None:
+        return None
+    values = [*res.alloc.zeta_t, res.alloc.zeta_d, res.rho_star, res.nu_star, *res.lambdas, res.kkt_residual]
+    return [v.hex() for v in values], res.active_set, res.method, res.iterations
+
+
+def test_float_solvers_make_no_numpy_call(monkeypatch):
+    # K 1-32 over the full range, one config with a silent user and one zero
+    # budget; every field keeps its bits without NumPy.
+    rng = np.random.default_rng(4096)
+    cases = [
+        (random_config(rng, k=k, p_lo=1e-3, p_hi=1e8), random_budget(rng, -40.0, 100.0))
+        for k in (1, 2, 3, 4, 7, 8, 9, 12, 16, 24, 32) for _ in range(6)
+    ]
+    cfg = random_config(rng, k=12, p_lo=1e-3, p_hi=1e8)
+    silent = replace(cfg.users[3], data_power=0.0)
+    cases.append((mj.SystemConfig(cfg.block_len, cfg.users[:3] + (silent,) + cfg.users[4:]), mj.JammerBudget(50.0)))
+    cases.append((random_config(rng, k=9), mj.JammerBudget(0.0)))
+    solvers = (mj.solve, mj.solve_closed_form, mj.solve_kkt)
+    expected = [[_solver_fields(s, cfg, budget) for s in solvers] for cfg, budget in cases]
+    descent_case = (random_config(rng, k=16, p_lo=1e-3, p_hi=1e8, max_train_len=3), mj.JammerBudget(30.0))
+    descent = _solver_fields(mj.solve_projected_descent, *descent_case)
+    # The draw reaches the closed form, a closed form that is not interior
+    # (None), path solves and, at the zero budget, the flat result.
+    results = [f for row in expected for f in row]
+    assert {f[2] for f in results if isinstance(f, tuple)} == {opt.METHOD_KKT, opt.METHOD_CLOSED_FORM}
+    assert None in results
+    assert expected[-1][2][1:] == ((), opt.METHOD_KKT, 0)
+    monkeypatch.setattr(opt, "np", _NoNumPy())
+    assert [[_solver_fields(s, cfg, budget) for s in solvers] for cfg, budget in cases] == expected
+    assert _solver_fields(mj.solve_projected_descent, *descent_case) == descent
+
+
+def test_build_result_reuses_the_gradient_only_where_the_point_is_unchanged():
+    rng = np.random.default_rng(77)
+    for k in (2, 9, 20):
+        cfg = random_config(rng, k=k)
+        sys = opt._sys(cfg, mj.JammerBudget(30.0))
+        point = mj.solve_kkt(cfg, mj.JammerBudget(30.0)).alloc
+        z = [*point.zeta_t, point.zeta_d]
+        wrong = [g + 1.0 for g in opt._grad_z(sys, z)]
+        for nu in (None, 0.25):
+            def certificate(z, grad=None):
+                res = opt._build_result(sys, z, opt.METHOD_KKT, 1, nu=nu, grad=grad)
+                return [v.hex() for v in (*res.lambdas, res.nu_star, res.kkt_residual)]
+
+            # Ratios that sum to 1 + 1e-9 are renormalized, so a gradient
+            # passed in is not theirs and must not be used.
+            moved = [v * (1.0 + 1e-9) for v in z]
+            assert certificate(moved, grad=wrong) == certificate(moved), (k, nu)
+            # At a point the renormalization returns unchanged, it is used.
+            assert certificate(z, grad=opt._grad_z(sys, z)) == certificate(z), (k, nu)
+            assert certificate(z, grad=wrong) != certificate(z), (k, nu)
 
 
 def test_oracle_memory_peak_stays_bounded():
