@@ -107,7 +107,7 @@ def run_sweep(spec: ScenarioSpec, workers: int = 1) -> list[SweepRow]:
         try:
             result = solve(cfg, budget)
         except SolverError as exc:
-            raise SolverError(f"sweep failed at P_w = {pw_db} dB: {exc}", exc.residual) from exc
+            raise SolverError(f"sweep failed at P_w = {pw_db} dB: {exc.message}", exc.residual) from exc
         opt = rate_report(result.alloc, cfg, budget, spec.mc, workers=workers, bank=bank)
         unif = rate_report(unif_alloc, cfg, budget, spec.mc, workers=workers, bank=bank)
         reduction = 100.0 * (1.0 - opt.r_mc / unif.r_mc) if unif.r_mc > 0.0 else 0.0
@@ -308,7 +308,12 @@ def _cmd_rates(args) -> int:
             f"rho of this allocation is {rhos[0]!r} (ratio form) and {rhos[1]!r} (estimation form): "
             "the users' powers overflow a float"
         )
-    report = rate_report(alloc, cfg, budget, spec.mc, workers=args.workers)
+    # Both forms are finite, but a user's pt tt can still overflow to inf in the
+    # ratio form the bounds price (pilot powers of thousands of dB; see the
+    # model docstring's domain list).  The rates stay finite, so that is no
+    # error here and prints no NumPy warning.
+    with np.errstate(over="ignore"):
+        report = rate_report(alloc, cfg, budget, spec.mc, workers=args.workers)
     print(f"P_w = {pw_db:g} dB, allocation = {args.alloc}")
     print(f"R_LB = {report.r_lb:.12g} bits/symbol")
     print(f"R_MC = {report.r_mc:.12g} +/- {report.r_mc_halfwidth:.3g} bits/symbol")

@@ -21,6 +21,11 @@ The input domain, each limit with the one function that enforces it:
   ~1.8e308) can make the objective NaN or infinite; ``optimizer.solve`` then
   raises ``SolverError``, because a non-finite objective never certifies (its
   certificate is NaN: ``optimizer._residual``, ``optimizer._flat_result``);
+  where ``pt tt`` alone overflows, rho can stay finite but the ratio form
+  (:func:`_ratio_terms`) counts that user's alpha as 0, not its limit ``pd``,
+  and :func:`objective_rho` falls below :func:`rho_from_estimation` (by
+  4.6e-6 relative at a 3,078 dB pilot; ``macjam rates`` prices such a point
+  without a warning);
 - a block of at most ``MAX_BLOCK_LEN`` = 2**53 symbols, longer than the
   users' training windows together (:func:`_require_lengths`);
 - sample, user and worker counts are integers >= 1 (:func:`_require_count`);
@@ -212,7 +217,7 @@ class JammerAllocation:
             )
         vals = [z / total for z in vals]
         # Pin the largest coordinate so the renormalized sum is exactly 1.0.
-        top = max(range(len(vals)), key=lambda i: vals[i])
+        top = vals.index(max(vals))  # the first of equal maxima
         for _ in range(3):
             excess = math.fsum(vals) - 1.0
             if excess == 0.0:

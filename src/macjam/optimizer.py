@@ -57,6 +57,13 @@ or a NumPy scalar) it calls libm ``pow``, which can round differently; so a
 per-user square is written ``x * x`` and a square of one scalar for all
 users, ``(E zeta_d + T_d) ** 2`` and ``e_fac ** 2``, stays ``** 2``.
 
+One system per solve.  Every solver builds the per-call system ``_Sys`` (the
+users' powers and windows, ``w``, ``x``, their data-power sum, ``T_d`` and
+the energy) once, in one pass over the users.  :func:`solve` runs the closed
+form and, where that does not certify, the path on that one system, through
+the private helpers that the public :func:`solve_closed_form` and
+:func:`solve_kkt` wrap; so it returns their bits.  Nothing outlives a call.
+
 Independent cross-checks: a closed-form interior solution valid at high
 jamming power, the infinite-power limit, a derivative-free oracle that
 polishes once, from the best point of its seeded start set, and a gradient
@@ -135,10 +142,15 @@ METHOD_DESCENT = "projected_descent"
 
 
 class SolverError(RuntimeError):
-    """Solver did not reach the requested residual; carries the last residual."""
+    """Solver did not reach the requested residual; carries the last residual.
+
+    ``str`` of the error is ``message`` followed by ``(residual ...)``;
+    ``message`` alone is kept, so a caller that adds context can wrap it
+    without printing the residual twice."""
 
     def __init__(self, message: str, residual: float):
         super().__init__(f"{message} (residual {residual:.3e})")
+        self.message = message
         self.residual = residual
 
 
@@ -197,19 +209,29 @@ def _energy(cfg: SystemConfig, budget: JammerBudget) -> float:
 
 
 def _sys(cfg: SystemConfig, budget: JammerBudget) -> _Sys:
-    pt = tuple([u.train_power for u in cfg.users])
-    pd = tuple([u.data_power for u in cfg.users])
-    tt = tuple([float(u.train_len) for u in cfg.users])
+    """The per-solve system of ``cfg`` at ``budget``, in one pass over the users;
+    ``T_d`` comes from the integer training total, as ``cfg.data_len`` does."""
+    pt, pd, tt, w, x = [], [], [], [], []
+    train = 0
+    for u in cfg.users:
+        p, d, n = u.train_power, u.data_power, u.train_len
+        t = float(n)
+        train += n
+        pt.append(p)
+        pd.append(d)
+        tt.append(t)
+        w.append(t * math.sqrt(d * p))
+        x.append(t * (1.0 + p * t))
     return _Sys(
-        pt=pt,
-        pd=pd,
-        tt=tt,
+        pt=tuple(pt),
+        pd=tuple(pd),
+        tt=tuple(tt),
         T=float(cfg.block_len),
-        Td=float(cfg.data_len),
+        Td=float(cfg.block_len - train),
         energy=_energy(cfg, budget),
         S=_user_sum(pd),
-        w=tuple([t * math.sqrt(d * p) for p, d, t in zip(pt, pd, tt)]),
-        x=tuple([t * (1.0 + p * t) for p, t in zip(pt, tt)]),
+        w=tuple(w),
+        x=tuple(x),
     )
 
 
@@ -305,12 +327,14 @@ def _grad_z(sys: _Sys, z) -> list[float]:
 
 def _terms_z(sys: _Sys, z):
     """The users' alphas and betas at the point ``z`` (data ratio last), as two
-    tuples, and gamma."""
+    lists, and gamma."""
     zd, energy, t_d = z[-1], sys.energy, sys.Td
-    alphas, betas, gammas = zip(*[
-        _ratio_terms(zk, zd, p, d, t, energy, t_d) for zk, p, d, t in zip(z, sys.pt, sys.pd, sys.tt)
-    ])
-    return alphas, betas, gammas[0]
+    alphas, betas = [], []
+    for zk, p, d, t in zip(z, sys.pt, sys.pd, sys.tt):
+        a, b, gamma = _ratio_terms(zk, zd, p, d, t, energy, t_d)
+        alphas.append(a)
+        betas.append(b)
+    return alphas, betas, gamma
 
 
 def _rho_terms(alphas, betas, gamma: float) -> float:
@@ -383,13 +407,12 @@ def _residual(z, lam) -> float:
     """Largest KKT violation at the point ``z`` (data ratio last) with
     multipliers ``lam``: budget, ratio signs, multiplier signs and
     complementary slackness.  NaN where any term is NaN, so a NaN never
-    certifies."""
-    return _nan_or(max, [
-        abs(_user_sum(z) - 1.0),
-        *[-v for v in z],
-        *[-g for g in lam],
-        *[abs(g * v) for g, v in zip(lam, z)],
-    ])
+    certifies: a NaN ratio or multiplier makes its product NaN too."""
+    budget = abs(_user_sum(z) - 1.0)
+    slack = [abs(g * v) for g, v in zip(lam, z)]
+    if budget != budget or any(map(math.isnan, slack)):
+        return math.nan
+    return max(budget, -min(z), -min(lam), max(slack))
 
 
 def _refine_active_set(sys: _Sys, free) -> list[float]:
@@ -454,7 +477,8 @@ def _path(sys: _Sys):
     users = len(w)
     thr = [xk / wk if wk > 0.0 else math.inf for wk, xk in zip(w, x)]
     order = sorted([k for k in range(users) if thr[k] == thr[k]], key=thr.__getitem__)
-    order += [k for k in range(users) if thr[k] != thr[k]]
+    if len(order) < users:
+        order += [k for k in range(users) if thr[k] != thr[k]]
     alpha0 = [d * (p * t) / (1.0 + p * t) for p, d, t in zip(sys.pt, sys.pd, sys.tt)]
     # A2_m, the pinned users' alpha at zero jamming, summed from the last user.
     a2 = [*itertools.accumulate([alpha0[k] for k in reversed(order)])][::-1]
@@ -484,10 +508,15 @@ def _path(sys: _Sys):
     starts = user_on[:m] + [data_on] + user_on[m:]
     coords = order[:m] + [users] + order[m:]
     ends = starts[1:] + [math.inf]
-    rows = range(
-        bisect.bisect_left(ends, _nan_last(sys.energy * (1.0 - PATH_WINDOW)), key=_nan_last),
-        bisect.bisect_right(starts, _nan_last(sys.energy * (1.0 + PATH_WINDOW)), key=_nan_last),
-    )
+    lo, hi = sys.energy * (1.0 - PATH_WINDOW), sys.energy * (1.0 + PATH_WINDOW)
+    if any(map(math.isnan, starts)):
+        rows = range(
+            bisect.bisect_left(ends, _nan_last(lo), key=_nan_last),
+            bisect.bisect_right(starts, _nan_last(hi), key=_nan_last),
+        )
+    else:
+        # Without a NaN the key orders as the floats do (the energy is finite).
+        rows = range(bisect.bisect_left(ends, lo), bisect.bisect_right(starts, hi))
     return coords, starts, rows
 
 
@@ -554,14 +583,18 @@ def solve_kkt(cfg: SystemConfig, budget: JammerBudget) -> SolveResult:
     objective gives :func:`_flat_result`.  Raises :class:`SolverError` unless
     the result certifies to ``CERT_TOL``, so a NaN certificate raises.
     """
-    sys = _sys(cfg, budget)
+    return _solve_kkt(cfg, _sys(cfg, budget))
+
+
+def _solve_kkt(cfg: SystemConfig, sys: _Sys) -> SolveResult:
+    """:func:`solve_kkt` on the system ``sys`` of ``cfg``."""
     best = None
     if _flat(sys):
         best = _flat_result(cfg, sys, METHOD_KKT)
     else:
         coords, _, rows = _path(sys)
         for row in rows:
-            free = [False] * (cfg.n_users + 1)
+            free = [False] * (len(sys.pt) + 1)
             for k in coords[: row + 1]:
                 free[k] = True
             z = _refine_active_set(sys, free)
@@ -608,7 +641,11 @@ def solve_closed_form(cfg: SystemConfig, budget: JammerBudget) -> SolveResult | 
     Returns None on a flat objective and when any component is nonpositive
     ("not interior"); callers should then fall back to :func:`solve_kkt`.
     """
-    sys = _sys(cfg, budget)
+    return _solve_closed_form(_sys(cfg, budget))
+
+
+def _solve_closed_form(sys: _Sys) -> SolveResult | None:
+    """:func:`solve_closed_form` on the system ``sys``."""
     if _flat(sys):
         return None
     delta = _user_sum([p * (t * t) for p, t in zip(sys.pt, sys.tt)])
@@ -639,11 +676,17 @@ def solve_asymptotic(cfg: SystemConfig) -> JammerAllocation:
 
 
 def solve(cfg: SystemConfig, budget: JammerBudget) -> SolveResult:
-    """Closed form when it is interior and certifies to ``CERT_TOL``, :func:`solve_kkt` otherwise."""
-    result = solve_closed_form(cfg, budget)
+    """Closed form when it is interior and certifies to ``CERT_TOL``, :func:`solve_kkt` otherwise.
+
+    The system ``_Sys`` is built once and both solvers run on it, through the
+    private helpers that :func:`solve_closed_form` and :func:`solve_kkt` wrap;
+    so the result is the one those two public solvers give, bit for bit.
+    """
+    sys = _sys(cfg, budget)
+    result = _solve_closed_form(sys)
     if result is not None and result.kkt_residual <= CERT_TOL:
         return result
-    return solve_kkt(cfg, budget)
+    return _solve_kkt(cfg, sys)
 
 
 def _pair_descent(z, sys: _Sys):

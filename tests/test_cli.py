@@ -470,8 +470,46 @@ def test_solver_failure_exits_1(tmp_path, capsys, monkeypatch):
     sweep.write_text(TINY)
     assert main(["sweep", str(sweep), "--outdir", str(tmp_path / "out")]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("solver failure: sweep failed at P_w = 0.0 dB: no certified candidate")
+    # The sweep's context wraps the solver's message; the residual is printed once.
+    assert err == "solver failure: sweep failed at P_w = 0.0 dB: no certified candidate (residual 1.000e+00)\n"
     assert not (tmp_path / "out").exists()
+
+
+# Two users at 3,078 and 2,380 dB pilots: pt tt of the first overflows a float.
+PILOT_OVERFLOW_USERS = """\
+block_len: 1354
+users:
+  - {train_len: 3, train_power_db: 3078.023672832875, data_power_db: -20.880491868468937}
+  - {train_len: 2, train_power_db: 2380.340522667818, data_power_db: 32.497754176316306}
+mc: {samples: 2000, seed: 1}
+"""
+
+
+def test_sweep_solver_failure_prints_its_residual_once(tmp_path, capsys):
+    path = tmp_path / "sweep_fail.scenario"
+    path.write_text(PILOT_OVERFLOW_USERS + "jammer:\n  sweep: {min_db: 14.0, max_db: 15.0, step_db: 1.0}\noutput: fail\n")
+    assert main(["sweep", str(path), "--outdir", str(tmp_path / "out")]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == (
+        "solver failure: sweep failed at P_w = 14.0 dB: "
+        "no candidate free set certifies the optimum (residual inf)\n"
+    )
+
+
+def test_rates_with_an_overflowing_pilot_prices_without_a_warning(tmp_path, capsys):
+    # Both forms of rho are finite, but pricing the bounds overflows pt tt; the
+    # suite turns warnings into errors, so a NumPy warning fails this test.
+    path = tmp_path / "pilot_overflow.scenario"
+    path.write_text(PILOT_OVERFLOW_USERS + "jammer: {power_db: 14.23650479889001}\noutput: rates\n")
+    assert main(["rates", str(path), "--alloc", "uniform"]) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert [line for line in out.splitlines() if line.startswith("R_")] == [
+        "R_LB = 5.20009904117 bits/symbol",
+        "R_MC = 5.3151571552 +/- 0.0713 bits/symbol",
+        "R_UB = 6.0127501282 bits/symbol",
+    ]
 
 
 # A user whose pt tt and pd pt overflow: rho and two activation powers are NaN.

@@ -61,6 +61,56 @@ def test_allocation_renormalizes_to_exact_unit_sum():
     assert math.fsum(list(a.zeta_t) + [a.zeta_d]) == 1.0
 
 
+def _pinned_at_the_first_largest(raw):
+    """The renormalization with the coordinate it pins chosen as
+    ``max(range(n), key=...)`` does: the first of equal largest ratios."""
+    total = math.fsum(raw)
+    vals = [z / total for z in raw]
+    top = max(range(len(vals)), key=lambda i: vals[i])
+    for _ in range(3):
+        excess = math.fsum(vals) - 1.0
+        if excess == 0.0:
+            break
+        vals[top] -= excess
+    return vals
+
+
+@pytest.mark.parametrize("tied", [(0, 1), (1, 3), (0, 2, 4), (2, 3, 4)])
+def test_allocation_pins_the_first_of_equal_largest_ratios(tied):
+    # Ratios whose largest value sits at every position in ``tied``, drawn
+    # until dividing by their sum leaves an excess: only the first tied
+    # coordinate absorbs it.
+    rng = np.random.default_rng(sum(tied))
+    for _ in range(1000):
+        raw = rng.uniform(0.01, 0.2, 5)
+        raw[list(tied)] = 0.3
+        raw *= (1.0 + rng.uniform(-9e-7, 9e-7)) / raw.sum()
+        total = math.fsum(raw)
+        if math.fsum([v / total for v in raw]) != 1.0:
+            break
+    else:
+        pytest.fail("no draw left an excess")
+    a = mj.JammerAllocation(tuple(raw[:-1]), raw[-1])
+    got = a.as_vector().tolist()
+    assert [v.hex() for v in got] == [v.hex() for v in _pinned_at_the_first_largest(raw.tolist())]
+    first, *rest = tied
+    assert all(got[k] == raw[k] / total != got[first] for k in rest)
+    assert math.fsum(got) == 1.0
+
+
+def test_allocation_pins_as_before_on_seeded_draws():
+    rng = np.random.default_rng(515)
+    for _ in range(2000):
+        k = int(rng.integers(1, 9))
+        raw = rng.dirichlet(np.ones(k + 1))
+        # Largest ratios tied in about a third of the draws, at random positions.
+        if rng.uniform() < 0.3:
+            raw[rng.choice(k + 1, 2, replace=False)] = raw.max()
+        raw *= (1.0 + rng.uniform(-9e-7, 9e-7)) / raw.sum()
+        a = mj.JammerAllocation(tuple(raw[:-1]), raw[-1])
+        assert [v.hex() for v in a.as_vector().tolist()] == [v.hex() for v in _pinned_at_the_first_largest(raw.tolist())]
+
+
 def test_allocation_rejects_bad_inputs():
     with pytest.raises(ValueError):
         mj.JammerAllocation((0.3, 0.3), 0.3)  # sum 0.9, off by > 1e-6

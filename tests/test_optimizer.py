@@ -962,6 +962,39 @@ def test_interior_gradient_components_equalized():
     assert spread <= 1e-6 * abs(float(g.mean()))
 
 
+def test_solve_is_its_closed_form_or_its_kkt_solve_bit_for_bit(monkeypatch):
+    # solve builds its system once and runs the closed form and the path on it
+    # through private helpers; the public solvers build their own.  solve must
+    # give the closed form's fields where that certifies, else solve_kkt's
+    # fields or its SolverError message (the closed form's, where it raises).
+    # K 1-32 over the full range, a silent user, a zero budget and an
+    # overflowing user (NaN rho).
+    rng = np.random.default_rng(3131)
+    cases = [
+        (random_config(rng, k=k, p_lo=1e-3, p_hi=1e8), random_budget(rng, -40.0, 100.0))
+        for k in (1, 2, 3, 4, 7, 8, 9, 16, 32) for _ in range(10)
+    ]
+    cfg = random_config(rng, k=5, p_lo=1e-3, p_hi=1e8)
+    silent = replace(cfg.users[2], data_power=0.0)
+    cases.append((mj.SystemConfig(cfg.block_len, cfg.users[:2] + (silent,) + cfg.users[3:]), mj.JammerBudget(20.0)))
+    cases.append((random_config(rng, k=6), mj.JammerBudget(0.0)))
+    cases += [(EXTREME_CONFIGS["nan_threshold_first"], mj.JammerBudget(pw)) for pw in (0.0, 1.0)]
+    builds = []
+    build = opt._sys
+    monkeypatch.setattr(opt, "_sys", lambda *args: builds.append(args) or build(*args))
+    seen = set()
+    for cfg, budget in cases:
+        closed = _solver_fields(mj.solve_closed_form, cfg, budget)
+        final = isinstance(closed, str) or isinstance(closed, tuple) and float.fromhex(closed[0][-1]) <= opt.CERT_TOL
+        expected = closed if final else _solver_fields(mj.solve_kkt, cfg, budget)
+        builds.clear()
+        assert _solver_fields(mj.solve, cfg, budget) == expected, (cfg, budget)
+        assert len(builds) == 1
+        seen.add(expected[2] if isinstance(expected, tuple) else "error")
+        seen.add("not interior" if closed is None else "closed form ran")
+    assert seen == {opt.METHOD_CLOSED_FORM, opt.METHOD_KKT, "error", "not interior", "closed form ran"}
+
+
 def test_solve_dispatch_prefers_closed_form():
     cfg = two_users((10.0, 10.0), (10.0, 10.0), (1, 1))
     low = mj.solve(cfg, mj.JammerBudget(1.0))
