@@ -308,12 +308,7 @@ def _cmd_rates(args) -> int:
             f"rho of this allocation is {rhos[0]!r} (ratio form) and {rhos[1]!r} (estimation form): "
             "the users' powers overflow a float"
         )
-    # Both forms are finite, but a user's pt tt can still overflow to inf in the
-    # ratio form the bounds price (pilot powers of thousands of dB; see the
-    # model docstring's domain list).  The rates stay finite, so that is no
-    # error here and prints no NumPy warning.
-    with np.errstate(over="ignore"):
-        report = rate_report(alloc, cfg, budget, spec.mc, workers=args.workers)
+    report = rate_report(alloc, cfg, budget, spec.mc, workers=args.workers)
     print(f"P_w = {pw_db:g} dB, allocation = {args.alloc}")
     print(f"R_LB = {report.r_lb:.12g} bits/symbol")
     print(f"R_MC = {report.r_mc:.12g} +/- {report.r_mc_halfwidth:.3g} bits/symbol")

@@ -21,11 +21,9 @@ The input domain, each limit with the one function that enforces it:
   ~1.8e308) can make the objective NaN or infinite; ``optimizer.solve`` then
   raises ``SolverError``, because a non-finite objective never certifies (its
   certificate is NaN: ``optimizer._residual``, ``optimizer._flat_result``);
-  where ``pt tt`` alone overflows, rho can stay finite but the ratio form
-  (:func:`_ratio_terms`) counts that user's alpha as 0, not its limit ``pd``,
-  and :func:`objective_rho` falls below :func:`rho_from_estimation` (by
-  4.6e-6 relative at a 3,078 dB pilot; ``macjam rates`` prices such a point
-  without a warning);
+  where ``pt tt`` alone overflows, that user's alpha takes its limit ``pd``
+  in the ratio form (:func:`_ratio_terms`), so rho stays finite and agrees
+  with :func:`rho_from_estimation`;
 - a block of at most ``MAX_BLOCK_LEN`` = 2**53 symbols, longer than the
   users' training windows together (:func:`_require_lengths`);
 - sample, user and worker counts are integers >= 1 (:func:`_require_count`);
@@ -45,7 +43,7 @@ certificate (ROADMAP item 1).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -134,12 +132,13 @@ class SystemConfig:
     """Block structure of the legitimate system: block length and user list.
 
     The block of ``block_len`` symbols starts with the users' non-overlapping
-    training windows (``total_train_len`` symbols in total) and ends with the
-    shared data phase of ``data_len`` symbols.
+    training windows (``total_train_len`` symbols in total, summed once at
+    construction) and ends with the shared data phase of ``data_len`` symbols.
     """
 
     block_len: int
     users: tuple[UserParams, ...]
+    total_train_len: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         t = _require_int("block_len", self.block_len)
@@ -149,17 +148,15 @@ class SystemConfig:
         for u in users:
             if not isinstance(u, UserParams):
                 raise ValueError(f"users entries must be UserParams, got {type(u).__name__}")
-        _require_lengths(t, sum(u.train_len for u in users))
+        train = sum(u.train_len for u in users)
+        _require_lengths(t, train)
         object.__setattr__(self, "block_len", t)
         object.__setattr__(self, "users", users)
+        object.__setattr__(self, "total_train_len", train)
 
     @property
     def n_users(self) -> int:
         return len(self.users)
-
-    @property
-    def total_train_len(self) -> int:
-        return sum(u.train_len for u in self.users)
 
     @property
     def data_len(self) -> int:
@@ -315,10 +312,16 @@ def _ratio_terms(zeta_t, zeta_d, p_t, p_d, t_t, energy, t_d):
     config enters as the per-user vectors ``p_t``, ``p_d``, ``t_t`` (shape
     ``(K,)``), the energy ``P_w T`` and the data length ``t_d``
     (:func:`_config_terms`), so a caller that evaluates many points builds
-    them once."""
+    them once.
+
+    Where ``p_t T_t / q`` overflows, ``pilot`` is inf and the quotient for
+    alpha reads 0, so alpha adds its limit ``p_d``; elsewhere it adds 0.0,
+    which keeps every bit but the sign of a zero.  A quotient that is NaN
+    (its numerator overflows too) stays NaN.  On arrays the overflow warns: :func:`_ratio_rho` and
+    :func:`alpha_beta_gamma` call this with NumPy's overflow warning off."""
     q = 1.0 + zeta_t * energy / t_t
     pilot = 1.0 + p_t * t_t / q
-    alphas = (p_d * p_t * t_t / q) / pilot
+    alphas = (p_d * p_t * t_t / q) / pilot + (pilot == math.inf) * p_d
     betas = p_d / pilot
     gamma = 1.0 / (1.0 + zeta_d * energy / t_d)
     return alphas, betas, gamma
@@ -326,7 +329,8 @@ def _ratio_terms(zeta_t, zeta_d, p_t, p_d, t_t, energy, t_d):
 
 def _ratio_rho(zeta_t, zeta_d, *terms):
     """:func:`rho_value` from :func:`_ratio_terms`' arguments; the users are the last axis."""
-    alphas, betas, gamma = _ratio_terms(zeta_t, zeta_d, *terms)
+    with np.errstate(over="ignore"):  # an overflowing pilot term takes its limit
+        alphas, betas, gamma = _ratio_terms(zeta_t, zeta_d, *terms)
     return gamma * alphas.sum(axis=-1) / (1.0 + gamma * betas.sum(axis=-1))
 
 
@@ -344,7 +348,8 @@ def alpha_beta_gamma(
     ``beta_k`` rises as the training jamming share grows.
     """
     _require_same_users(alloc, cfg)
-    return _ratio_terms(alloc.zeta_t_vec(), alloc.zeta_d, *_config_terms(cfg, budget))
+    with np.errstate(over="ignore"):  # an overflowing pilot term takes its limit
+        return _ratio_terms(alloc.zeta_t_vec(), alloc.zeta_d, *_config_terms(cfg, budget))
 
 
 def objective_rho(

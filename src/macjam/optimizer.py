@@ -209,14 +209,10 @@ def _energy(cfg: SystemConfig, budget: JammerBudget) -> float:
 
 
 def _sys(cfg: SystemConfig, budget: JammerBudget) -> _Sys:
-    """The per-solve system of ``cfg`` at ``budget``, in one pass over the users;
-    ``T_d`` comes from the integer training total, as ``cfg.data_len`` does."""
+    """The per-solve system of ``cfg`` at ``budget``, in one pass over the users."""
     pt, pd, tt, w, x = [], [], [], [], []
-    train = 0
     for u in cfg.users:
-        p, d, n = u.train_power, u.data_power, u.train_len
-        t = float(n)
-        train += n
+        p, d, t = u.train_power, u.data_power, float(u.train_len)
         pt.append(p)
         pd.append(d)
         tt.append(t)
@@ -227,7 +223,7 @@ def _sys(cfg: SystemConfig, budget: JammerBudget) -> _Sys:
         pd=tuple(pd),
         tt=tuple(tt),
         T=float(cfg.block_len),
-        Td=float(cfg.block_len - train),
+        Td=float(cfg.data_len),
         energy=_energy(cfg, budget),
         S=_user_sum(pd),
         w=tuple(w),
@@ -477,8 +473,7 @@ def _path(sys: _Sys):
     users = len(w)
     thr = [xk / wk if wk > 0.0 else math.inf for wk, xk in zip(w, x)]
     order = sorted([k for k in range(users) if thr[k] == thr[k]], key=thr.__getitem__)
-    if len(order) < users:
-        order += [k for k in range(users) if thr[k] != thr[k]]
+    order += [k for k in range(users) if thr[k] != thr[k]]
     alpha0 = [d * (p * t) / (1.0 + p * t) for p, d, t in zip(sys.pt, sys.pd, sys.tt)]
     # A2_m, the pinned users' alpha at zero jamming, summed from the last user.
     a2 = [*itertools.accumulate([alpha0[k] for k in reversed(order)])][::-1]
@@ -508,15 +503,10 @@ def _path(sys: _Sys):
     starts = user_on[:m] + [data_on] + user_on[m:]
     coords = order[:m] + [users] + order[m:]
     ends = starts[1:] + [math.inf]
-    lo, hi = sys.energy * (1.0 - PATH_WINDOW), sys.energy * (1.0 + PATH_WINDOW)
-    if any(map(math.isnan, starts)):
-        rows = range(
-            bisect.bisect_left(ends, _nan_last(lo), key=_nan_last),
-            bisect.bisect_right(starts, _nan_last(hi), key=_nan_last),
-        )
-    else:
-        # Without a NaN the key orders as the floats do (the energy is finite).
-        rows = range(bisect.bisect_left(ends, lo), bisect.bisect_right(starts, hi))
+    rows = range(
+        bisect.bisect_left(ends, _nan_last(sys.energy * (1.0 - PATH_WINDOW)), key=_nan_last),
+        bisect.bisect_right(starts, _nan_last(sys.energy * (1.0 + PATH_WINDOW)), key=_nan_last),
+    )
     return coords, starts, rows
 
 

@@ -498,17 +498,18 @@ def test_sweep_solver_failure_prints_its_residual_once(tmp_path, capsys):
 
 
 def test_rates_with_an_overflowing_pilot_prices_without_a_warning(tmp_path, capsys):
-    # Both forms of rho are finite, but pricing the bounds overflows pt tt; the
-    # suite turns warnings into errors, so a NumPy warning fails this test.
+    # The first user's pt tt overflows a float; its alpha takes its limit, so
+    # both bounds price the rho the Monte Carlo does.  The suite turns
+    # warnings into errors, so a NumPy warning fails this test.
     path = tmp_path / "pilot_overflow.scenario"
     path.write_text(PILOT_OVERFLOW_USERS + "jammer: {power_db: 14.23650479889001}\noutput: rates\n")
     assert main(["rates", str(path), "--alloc", "uniform"]) == 0
     out, err = capsys.readouterr()
     assert err == ""
     assert [line for line in out.splitlines() if line.startswith("R_")] == [
-        "R_LB = 5.20009904117 bits/symbol",
+        "R_LB = 5.20010546695 bits/symbol",
         "R_MC = 5.3151571552 +/- 0.0713 bits/symbol",
-        "R_UB = 6.0127501282 bits/symbol",
+        "R_UB = 6.01275663051 bits/symbol",
     ]
 
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import macjam as mj
-from macjam.model import MAX_BLOCK_LEN
+from macjam.model import MAX_BLOCK_LEN, _ratio_terms
 from _support import random_alloc, random_budget, random_config
 
 
@@ -75,35 +75,31 @@ def _pinned_at_the_first_largest(raw):
     return vals
 
 
-@pytest.mark.parametrize("tied", [(0, 1), (1, 3), (0, 2, 4), (2, 3, 4)])
-def test_allocation_pins_the_first_of_equal_largest_ratios(tied):
-    # Ratios whose largest value sits at every position in ``tied``, drawn
+def test_allocation_pins_the_first_of_equal_largest_ratios():
+    # Ratios whose largest value ties at two or three set positions, drawn
     # until dividing by their sum leaves an excess: only the first tied
-    # coordinate absorbs it.
-    rng = np.random.default_rng(sum(tied))
-    for _ in range(1000):
-        raw = rng.uniform(0.01, 0.2, 5)
-        raw[list(tied)] = 0.3
-        raw *= (1.0 + rng.uniform(-9e-7, 9e-7)) / raw.sum()
-        total = math.fsum(raw)
-        if math.fsum([v / total for v in raw]) != 1.0:
-            break
-    else:
-        pytest.fail("no draw left an excess")
-    a = mj.JammerAllocation(tuple(raw[:-1]), raw[-1])
-    got = a.as_vector().tolist()
-    assert [v.hex() for v in got] == [v.hex() for v in _pinned_at_the_first_largest(raw.tolist())]
-    first, *rest = tied
-    assert all(got[k] == raw[k] / total != got[first] for k in rest)
-    assert math.fsum(got) == 1.0
-
-
-def test_allocation_pins_as_before_on_seeded_draws():
+    # coordinate absorbs it.  Seeded draws then tie the largest ratios at
+    # random positions in about a third of the cases; every input pins as
+    # ``max(range(n), key=...)`` did, bit for bit.
     rng = np.random.default_rng(515)
+    for tied in [(0, 1), (1, 3), (0, 2, 4), (2, 3, 4)]:
+        for _ in range(1000):
+            raw = rng.uniform(0.01, 0.2, 5)
+            raw[list(tied)] = 0.3
+            raw *= (1.0 + rng.uniform(-9e-7, 9e-7)) / raw.sum()
+            total = math.fsum(raw)
+            if math.fsum([v / total for v in raw]) != 1.0:
+                break
+        else:
+            pytest.fail(f"no draw tied at {tied} left an excess")
+        got = mj.JammerAllocation(tuple(raw[:-1]), raw[-1]).as_vector().tolist()
+        assert [v.hex() for v in got] == [v.hex() for v in _pinned_at_the_first_largest(raw.tolist())]
+        first, *rest = tied
+        assert all(got[k] == raw[k] / total != got[first] for k in rest)
+        assert math.fsum(got) == 1.0
     for _ in range(2000):
         k = int(rng.integers(1, 9))
         raw = rng.dirichlet(np.ones(k + 1))
-        # Largest ratios tied in about a third of the draws, at random positions.
         if rng.uniform() < 0.3:
             raw[rng.choice(k + 1, 2, replace=False)] = raw.max()
         raw *= (1.0 + rng.uniform(-9e-7, 9e-7)) / raw.sum()
@@ -256,6 +252,34 @@ def test_rho_two_independent_paths_agree():
         direct = mj.objective_rho(alloc, cfg, budget)
         via_estimation = mj.rho_from_estimation(alloc, cfg, budget)
         assert via_estimation == pytest.approx(direct, rel=1e-12)
+
+
+def test_an_overflowing_pilot_term_takes_its_limit():
+    # The first user's pt tt (a 3,078 dB pilot) overflows a float, so its
+    # pilot term is inf and the ratio form's quotient for alpha reads 0: alpha
+    # takes its limit pd instead, on arrays and on one user's floats, without
+    # a NumPy warning, and rho agrees with the estimation form.  Where pd pt
+    # overflows as well, alpha stays NaN (the objective's NaN domain) and
+    # NumPy still warns of the invalid inf / inf.
+    u0 = mj.UserParams(6.344060022589307e307, 0.008164898930072719, 3)
+    cfg = mj.SystemConfig(1354, (u0, mj.UserParams(1.0815641083136576e238, 1777.360063892929, 2)))
+    budget = mj.JammerBudget(26.524699954244138)
+    rng = np.random.default_rng(77)
+    for alloc in [mj.uniform_allocation(cfg), *(random_alloc(rng, 2) for _ in range(20))]:
+        alphas, _, _ = mj.alpha_beta_gamma(alloc, cfg, budget)
+        assert alphas[0] == u0.data_power
+        one = _ratio_terms(
+            alloc.zeta_t[0], alloc.zeta_d, u0.train_power, u0.data_power, 3.0,
+            budget.avg_power * cfg.block_len, float(cfg.data_len),
+        )
+        assert one[0] == u0.data_power
+        rho = mj.objective_rho(alloc, cfg, budget)
+        assert float(mj.rho_value(alloc.zeta_t_vec(), alloc.zeta_d, cfg, budget)) == rho
+        assert rho == pytest.approx(mj.rho_from_estimation(alloc, cfg, budget), rel=1e-12)
+    nan_cfg = mj.SystemConfig(2**40, (mj.UserParams(1e300, 1e10, 10**10), mj.UserParams(10.0, 10.0, 3)))
+    with pytest.warns(RuntimeWarning, match="invalid value"):
+        alphas, _, _ = mj.alpha_beta_gamma(mj.uniform_allocation(nan_cfg), nan_cfg, mj.JammerBudget(1.0))
+    assert math.isnan(alphas[0]) and math.isfinite(alphas[1])
 
 
 def test_rho_constant_when_budget_is_zero():
