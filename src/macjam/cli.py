@@ -25,7 +25,8 @@ from .model import (
     rho_from_estimation,
     uniform_allocation,
 )
-from .optimizer import SolveResult, SolverError, _energy, _nan_last, activation_powers, solve, solve_kkt, solve_oracle
+from .optimizer import ORACLE_SEARCH_SAMPLES, SolveResult, SolverError, _energy, _nan_last, activation_powers
+from .optimizer import solve, solve_kkt, solve_oracle
 from .rates import MonteCarloSettings, RateReport, draw_samples, rate_report
 from .scenario import (
     ScenarioError,
@@ -379,9 +380,10 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p_sweep.set_defaults(handler=_cmd_sweep)
 
-    p_oracle = sub.add_parser("oracle-check", help="compare the KKT solver with the brute-force oracle")
+    p_oracle = sub.add_parser("oracle-check", help="compare the KKT solver with the oracle: seeded starts, then a polish")
     p_oracle.add_argument("scenario")
-    p_oracle.add_argument("--grid", type=float, default=1e-3)
+    p_oracle.add_argument("--grid", type=float, default=1e-3, help="sets the oracle's start set: round(1/grid) seeded "
+                          f"points, at most {ORACLE_SEARCH_SAMPLES:,}, plus the simplex vertices and center; in (0, 1]")
     p_oracle.add_argument("--pw-db", type=float, default=None)
     p_oracle.set_defaults(handler=_cmd_oracle_check)
 

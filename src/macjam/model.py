@@ -198,28 +198,27 @@ class JammerAllocation:
     zeta_d: float
 
     def __post_init__(self):
-        zt = [float(z) for z in self.zeta_t]
-        zd = float(self.zeta_d)
-        vals = zt + [zd]
-        if len(zt) < 1:
+        vals = [*map(float, self.zeta_t), float(self.zeta_d)]
+        if len(vals) < 2:
             raise ValueError("zeta_t must contain at least one entry")
-        for i, z in enumerate(vals):
-            if not math.isfinite(z) or z < 0.0:
-                name = "zeta_d" if i == len(zt) else f"zeta_t[{i}]"
-                raise ValueError(f"{name} must be finite and >= 0, got {z!r}")
+        if not all(map(math.isfinite, vals)) or min(vals) < 0.0:
+            i, z = next((i, z) for i, z in enumerate(vals) if not math.isfinite(z) or z < 0.0)
+            name = "zeta_d" if i == len(vals) - 1 else f"zeta_t[{i}]"
+            raise ValueError(f"{name} must be finite and >= 0, got {z!r}")
         total = math.fsum(vals)
         if abs(total - 1.0) > ALLOC_SUM_TOL:
             raise ValueError(
                 f"allocation ratios must sum to 1 (got {total!r}, tolerance {ALLOC_SUM_TOL})"
             )
-        vals = [z / total for z in vals]
-        # Pin the largest coordinate so the renormalized sum is exactly 1.0.
-        top = vals.index(max(vals))  # the first of equal maxima
-        for _ in range(3):
-            excess = math.fsum(vals) - 1.0
-            if excess == 0.0:
-                break
-            vals[top] -= excess
+        if total != 1.0:  # else the steps below return vals unchanged
+            vals = [z / total for z in vals]
+            # Pin the largest coordinate so the renormalized sum is exactly 1.0.
+            top = vals.index(max(vals))  # the first of equal maxima
+            for _ in range(3):
+                excess = math.fsum(vals) - 1.0
+                if excess == 0.0:
+                    break
+                vals[top] -= excess
         object.__setattr__(self, "zeta_t", tuple(vals[:-1]))
         object.__setattr__(self, "zeta_d", vals[-1])
 

@@ -42,10 +42,8 @@ Arithmetic.  A solve is O(K) scalar work, so the primary solver (closed
 form, path, exact row solves, gradient, certificate) runs on Python floats,
 and so do both reference solvers: the oracle's polish and the gradient pair
 descent value every line-search trial through one evaluator,
-:func:`_pair_trial`, which recomputes only the two moved users' terms
-(30 configs at K = 16-32: descent 6.4 s before, 2.4 s after, on a 2-core
-VM; the pairwise sum in Python, below, took ~30% more off).  Only batch
-evaluation over many points, the oracle's start set and
+:func:`_pair_trial`, which recomputes only the two moved users' terms.
+Only batch evaluation over many points, the oracle's start set and
 ``model.rho_value``, stays on NumPy arrays; no solve, polish or descent
 calls NumPy.  Two rules give the float code the bits of the same formulas
 evaluated on NumPy vectors.  Sums: every sum over users is
@@ -57,12 +55,14 @@ or a NumPy scalar) it calls libm ``pow``, which can round differently; so a
 per-user square is written ``x * x`` and a square of one scalar for all
 users, ``(E zeta_d + T_d) ** 2`` and ``e_fac ** 2``, stays ``** 2``.
 
-One system per solve.  Every solver builds the per-call system ``_Sys`` (the
-users' powers and windows, ``w``, ``x``, their data-power sum, ``T_d`` and
-the energy) once, in one pass over the users.  :func:`solve` runs the closed
-form and, where that does not certify, the path on that one system, through
-the private helpers that the public :func:`solve_closed_form` and
-:func:`solve_kkt` wrap; so it returns their bits.  Nothing outlives a call.
+One system per solve, one pass per point.  Every solver builds the per-call
+system ``_Sys`` (the users' powers and windows, ``w``, ``x``, their
+data-power sum, ``T_d`` and the energy) once, in one pass over the users.
+:func:`solve` runs the closed form and, where that does not certify, the
+path on that one system, through the private helpers that the public
+:func:`solve_closed_form` and :func:`solve_kkt` wrap; so it returns their
+bits.  A point's gradient and rho are one pass, :func:`_point`, which a
+path row's result reuses.  Nothing outlives a call.
 
 Independent cross-checks: a closed-form interior solution valid at high
 jamming power, the infinite-power limit, a derivative-free oracle that
@@ -189,15 +189,15 @@ class OrderingVerdict:
 
 
 class _Sys(NamedTuple):
-    pt: tuple[float, ...]
-    pd: tuple[float, ...]
-    tt: tuple[float, ...]
+    pt: list[float]
+    pd: list[float]
+    tt: list[float]
     T: float
     Td: float
     energy: float  # P_w * T
     S: float       # sum of data powers
-    w: tuple[float, ...]  # tt * sqrt(pd pt): free training denominators are proportional to it
-    x: tuple[float, ...]  # tt * (1 + pt tt): training denominator with no jamming
+    w: list[float]  # tt * sqrt(pd pt): free training denominators are proportional to it
+    x: list[float]  # tt * (1 + pt tt): training denominator with no jamming
 
 
 def _energy(cfg: SystemConfig, budget: JammerBudget) -> float:
@@ -218,17 +218,7 @@ def _sys(cfg: SystemConfig, budget: JammerBudget) -> _Sys:
         tt.append(t)
         w.append(t * math.sqrt(d * p))
         x.append(t * (1.0 + p * t))
-    return _Sys(
-        pt=tuple(pt),
-        pd=tuple(pd),
-        tt=tuple(tt),
-        T=float(cfg.block_len),
-        Td=float(cfg.data_len),
-        energy=_energy(cfg, budget),
-        S=_user_sum(pd),
-        w=tuple(w),
-        x=tuple(x),
-    )
+    return _Sys(pt, pd, tt, float(cfg.block_len), float(cfg.data_len), _energy(cfg, budget), _user_sum(pd), w, x)
 
 
 def _user_sum(values) -> float:
@@ -301,24 +291,28 @@ def _flat(sys: _Sys) -> bool:
     return sys.energy == 0.0 or not any(sys.w)
 
 
-def _grad(sys: _Sys, zt, zd: float) -> tuple[list[float], float]:
-    energy, pd = sys.energy, sys.pd
-    s = [p * t / (1.0 + z * energy / t) for z, p, t in zip(zt, sys.pt, sys.tt)]
-    gamma = 1.0 / (1.0 + zd * energy / sys.Td)
-    e_fac2 = _square(1.0 + gamma * _user_sum([d / (1.0 + s_k) for d, s_k in zip(pd, s)]))
+def _point(sys: _Sys, z) -> tuple[list[float], float]:
+    """The gradient (one list) and rho at the point ``z``, data last, in one
+    loop over the users plus one for the training components.  Each term of
+    rho is :func:`model._ratio_terms`' expression, so rho has the polish's bits."""
+    energy, t_d, zd = sys.energy, sys.Td, z[-1]
+    gamma = 1.0 / (1.0 + zd * energy / t_d)
     scale, c = -energy * gamma, 1.0 + gamma * sys.S
-    d_t = [energy * z + x for z, x in zip(zt, sys.x)]
-    g_t = [scale * d * p * (t * t) * c / ((v * v) * e_fac2) for d, p, t, v in zip(pd, sys.pt, sys.tt, d_t)]
-    alpha_sum = _user_sum([d * s_k / (1.0 + s_k) for d, s_k in zip(pd, s)])
-    g_d = -energy * sys.Td * alpha_sum / ((energy * zd + sys.Td) ** 2 * e_fac2)
-    return g_t, g_d
-
-
-def _grad_z(sys: _Sys, z) -> list[float]:
-    """The gradient at the point ``z`` (data ratio last), as one list."""
-    g_t, g_d = _grad(sys, z[:-1], z[-1])
-    g_t.append(g_d)
-    return g_t
+    alphas, betas, a_grad, g_t = [], [], [], []
+    for zk, p, d, t, x in zip(z, sys.pt, sys.pd, sys.tt, sys.x):
+        q = 1.0 + zk * energy / t
+        s = p * t / q
+        pilot = 1.0 + s
+        alphas.append((d * p * t / q) / pilot + (pilot == math.inf) * d)
+        betas.append(d / pilot)
+        a_grad.append(d * s / pilot)
+        v = energy * zk + x  # the training denominator
+        g_t.append((scale * d * p * (t * t) * c, v * v))
+    e_fac = 1.0 + gamma * _user_sum(betas)
+    e_fac2 = _square(e_fac)
+    g = [num / (v2 * e_fac2) for num, v2 in g_t]
+    g.append(-energy * t_d * _user_sum(a_grad) / ((energy * zd + t_d) ** 2 * e_fac2))
+    return g, gamma * _user_sum(alphas) / e_fac
 
 
 def _terms_z(sys: _Sys, z):
@@ -337,11 +331,6 @@ def _rho_terms(alphas, betas, gamma: float) -> float:
     return gamma * _user_sum(alphas) / (1.0 + gamma * _user_sum(betas))
 
 
-def _rho_z(z, sys: _Sys) -> float:
-    """The objective at the point ``z`` (data ratio last)."""
-    return _rho_terms(*_terms_z(sys, z))
-
-
 def _pair_trial(sys: _Sys, point, alphas, betas, up: int, down: int):
     """The function phi(t): rho at ``point`` with ``t`` moved from coordinate
     ``down`` to coordinate ``up`` (index K is the data phase).
@@ -350,8 +339,8 @@ def _pair_trial(sys: _Sys, point, alphas, betas, up: int, down: int):
     recomputes with :func:`_ratio_terms` only the terms of the moved users,
     taking gamma from either one, at the moved data ratio where the other
     coordinate is the data phase, and sums with :func:`_user_sum`; so
-    ``phi(t)`` is bit for bit :func:`_rho_z` of the trial point, and the
-    value that point has on NumPy arrays.
+    ``phi(t)`` is bit for bit the rho that :func:`_point` gives at the trial
+    point, and the value that point has on NumPy arrays.
     """
     users = len(alphas)
     a, b = list(alphas), list(betas)
@@ -381,9 +370,8 @@ def rho_gradient(zeta_t, zeta_d, cfg: SystemConfig, budget: JammerBudget):
     Ratios >= 0 keep every denominator positive; negative ratios that make
     one exactly 0 raise ``ZeroDivisionError``, as does :func:`evaluate_kkt`.
     """
-    sys = _sys(cfg, budget)
-    g_t, g_d = _grad(sys, _ratios(zeta_t, cfg.n_users), float(zeta_d))
-    return np.array(g_t), g_d
+    g, _ = _point(_sys(cfg, budget), [*_ratios(zeta_t, cfg.n_users), float(zeta_d)])
+    return np.array(g[:-1]), g[-1]
 
 
 def evaluate_kkt(zeta_t, zeta_d, nu: float, cfg: SystemConfig, budget: JammerBudget):
@@ -395,7 +383,7 @@ def evaluate_kkt(zeta_t, zeta_d, nu: float, cfg: SystemConfig, budget: JammerBud
     nonnegativity and complementary slackness.
     """
     z = _ratios(zeta_t, cfg.n_users) + [float(zeta_d)]
-    lam = [g + nu for g in _grad_z(_sys(cfg, budget), z)]
+    lam = [g + nu for g in _point(_sys(cfg, budget), z)[0]]
     return _residual(z, lam), np.array(lam)
 
 
@@ -476,9 +464,8 @@ def _path(sys: _Sys):
     order += [k for k in range(users) if thr[k] != thr[k]]
     alpha0 = [d * (p * t) / (1.0 + p * t) for p, d, t in zip(sys.pt, sys.pd, sys.tt)]
     # A2_m, the pinned users' alpha at zero jamming, summed from the last user.
-    a2 = [*itertools.accumulate([alpha0[k] for k in reversed(order)])][::-1]
-    a2.append(0.0)
-    order = order[: users - w.count(0.0)]  # w is never negative or NaN
+    a2 = [*itertools.accumulate([alpha0[k] for k in reversed(order)], initial=0.0)][::-1]
+    del order[users - w.count(0.0) :]  # w is never negative or NaN
     r = [thr[k] for k in order]
     w_cum = [0.0, *itertools.accumulate([w[k] for k in order])]
     x_cum = [0.0, *itertools.accumulate([x[k] for k in order])]
@@ -488,10 +475,14 @@ def _path(sys: _Sys):
     quad = [(a * r_i) * r_i for a, r_i in zip(a2, r)]
     # The data ratio at cp = r has the sign of A2_m r^2 + W_m r - c0, so the data
     # phase switches on with the first m users free where that is >= 0.
-    m = next((i for i, r_i in enumerate(r) if quad[i] + w_cum[i] * r_i >= c0), len(r))
+    for m, r_i in enumerate(r):
+        if quad[m] + w_cum[m] * r_i >= c0:
+            break
+    else:
+        m = len(r)
     # The energy at which user m + 1 switches on, with the data ratio pinned
     # before the data event and free after it.
-    user_on = [
+    starts = [
         r_i * w_cum[i] - x_cum[i] if i < m else quad[i] + 2.0 * w_cum[i] * r_i - c0 - x_cum[i]
         for i, r_i in enumerate(r)
     ]
@@ -500,14 +491,15 @@ def _path(sys: _Sys):
         w_d, x_d = w_cum[m], x_cum[m]
         # The positive root of A2 cp^2 + W cp = c0, without cancellation.
         data_on = 2.0 * c0 / (w_d + math.sqrt(w_d * w_d + 4.0 * a2[m] * c0)) * w_d - x_d
-    starts = user_on[:m] + [data_on] + user_on[m:]
-    coords = order[:m] + [users] + order[m:]
-    ends = starts[1:] + [math.inf]
+    starts.insert(m, data_on)
+    order.insert(m, users)  # the coordinates in the order they switch on
+    ends = starts[1:]
+    ends.append(math.inf)
     rows = range(
         bisect.bisect_left(ends, _nan_last(sys.energy * (1.0 - PATH_WINDOW)), key=_nan_last),
         bisect.bisect_right(starts, _nan_last(sys.energy * (1.0 + PATH_WINDOW)), key=_nan_last),
     )
-    return coords, starts, rows
+    return order, starts, rows
 
 
 def _flat_result(cfg: SystemConfig, sys: _Sys, method: str) -> SolveResult:
@@ -515,7 +507,7 @@ def _flat_result(cfg: SystemConfig, sys: _Sys, method: str) -> SolveResult:
     a flat objective; the residual is NaN where rho is not finite (a user's
     powers overflow), so that no NaN or infinite rho certifies."""
     alloc = uniform_allocation(cfg)
-    rho = _rho_z([*alloc.zeta_t, alloc.zeta_d], sys)
+    _, rho = _point(sys, [*alloc.zeta_t, alloc.zeta_d])
     return SolveResult(
         alloc=alloc,
         rho_star=rho,
@@ -529,26 +521,24 @@ def _flat_result(cfg: SystemConfig, sys: _Sys, method: str) -> SolveResult:
 
 
 def _build_result(
-    sys: _Sys, z, method: str, iterations: int, nu: float | None = None, grad: list[float] | None = None
+    sys: _Sys, z, method: str, iterations: int, nu: float | None = None, point=None
 ) -> SolveResult:
     """The result at the point ``z`` (data ratio last), renormalized by
-    :class:`JammerAllocation`.  ``grad``, the gradient at ``z``, is reused
-    where the renormalization returns ``z`` unchanged, and recomputed at the
-    renormalized point otherwise."""
+    :class:`JammerAllocation`; ``point``, :func:`_point` at ``z``, is reused
+    where that leaves ``z`` unchanged, else recomputed at the new point."""
     try:
         alloc = JammerAllocation(tuple(z[:-1]), z[-1])
     except ValueError as exc:
         raise SolverError(f"solver produced an infeasible allocation: {exc}", math.inf)
-    z_alloc = [*alloc.zeta_t, alloc.zeta_d]
-    g_all = grad if grad is not None and z_alloc == z else _grad_z(sys, z_alloc)
-    z = z_alloc
+    z, raw = [*alloc.zeta_t, alloc.zeta_d], z
+    g_all, rho = point if point is not None and z == raw else _point(sys, z)
     if nu is None:
         free = [g for g, v in zip(g_all, z) if v > ACTIVE_TOL]
         nu = max(0.0, -(_user_sum(free) / len(free))) if free else 0.0
     lam = [g + nu for g in g_all]
     return SolveResult(
         alloc=alloc,
-        rho_star=_rho_z(z, sys),
+        rho_star=rho,
         nu_star=float(nu),
         lambdas=tuple([v if v > 0.0 else 0.0 for v in lam]),  # max(0, v), NaN to 0 as well
         active_set=tuple([k for k, v in enumerate(z) if v <= ACTIVE_TOL]),
@@ -591,10 +581,10 @@ def _solve_kkt(cfg: SystemConfig, sys: _Sys) -> SolveResult:
             # A free ratio must be positive, and at a negative one the gradient can be NaN.
             if any(v <= 0.0 for v, f in zip(z, free) if f):
                 continue
-            g_all = _grad_z(sys, z)
-            g_free = [g for g, f in zip(g_all, free) if f]
+            point = _point(sys, z)
+            g_free = [g for g, f in zip(point[0], free) if f]
             nu = -(_user_sum(g_free) / len(g_free))
-            result = _build_result(sys, z, METHOD_KKT, len(rows), nu=nu, grad=g_all)
+            result = _build_result(sys, z, METHOD_KKT, len(rows), nu=nu, point=point)
             if best is None or _nan_last(result.kkt_residual) < _nan_last(best.kkt_residual):
                 best = result
     residual = math.inf if best is None else best.kkt_residual
@@ -689,7 +679,7 @@ def _pair_descent(z, sys: _Sys):
     The search runs on Python floats.  The users' terms are kept for the
     current point, and every trial is valued by :func:`_pair_trial`, which
     recomputes only the two moved terms, so every value is bit for bit the
-    :func:`_rho_z` of the trial point.  ``z`` is a list of floats.
+    rho of :func:`_point` at the trial point.  ``z`` is a list of floats.
     """
     z = list(z)
     users = len(z) - 1
@@ -734,7 +724,7 @@ def solve_oracle(cfg: SystemConfig, budget: JammerBudget, grid_resolution: float
     no pairwise transfer improves is a KKT point and a global minimum, and
     the start only sets how far the polish travels.  The start set is
     valued on NumPy arrays (:func:`model._ratio_rho`), the polish on Python
-    floats, every trial value the one ``_rho_z`` gives at the trial point.
+    floats, every trial value the one ``_point`` gives at the trial point.
     ``iterations`` is the polish's sweep count.  Only intended for tests and
     diagnostics.
     ``grid_resolution`` must lie in (0, 1] with a finite reciprocal; any
@@ -761,16 +751,15 @@ def _descend(z0, sys: _Sys):
     the edge that pins it at 0) lowers rho.  Returns the end as a list, its rho
     and the step count.  The step logic runs on Python floats with NumPy's NaN
     rules: ``up`` is the first NaN gradient if there is one (``argmin``), a
-    NaN gap or scale is NaN (``max``), and the donors sort NaN last.  rho and
-    its gradient are :func:`_rho_z` and :func:`_grad_z`, and every trial is
+    NaN gap or scale is NaN (``max``), and the donors sort NaN last.  Each
+    step reads rho and its gradient from :func:`_point`, and every trial is
     valued by :func:`_pair_trial` from the step's terms, so each value is the
-    ``_rho_z`` of the trial point.
+    rho of ``_point`` at the trial point.
     """
     z = [float(v) for v in z0]
-    f = _rho_z(z, sys)
     steps = 0
     while steps < DESCENT_MAX_ITER:
-        g = _grad_z(sys, z)
+        g, f = _point(sys, z)
         up = min(range(len(g)), key=lambda k: (not math.isnan(g[k]), g[k]))
         pos = [v > 0.0 for v in z]
         gap = [gk - g[up] if p else 0.0 for gk, p in zip(g, pos)]

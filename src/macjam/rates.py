@@ -281,8 +281,7 @@ def sum_rate_mc(
 
 def sum_rate_ub(alloc: JammerAllocation, cfg: SystemConfig, budget: JammerBudget) -> float:
     """Jensen upper bound ``(T_d/T) log2(1 + rho)`` in bits/symbol."""
-    rho = objective_rho(alloc, cfg, budget)
-    return cfg.data_len / cfg.block_len * math.log1p(rho) / _LN2
+    return _bounds(objective_rho(alloc, cfg, budget), cfg)[1]
 
 
 def sum_rate_lb(alloc: JammerAllocation, cfg: SystemConfig, budget: JammerBudget) -> float:
@@ -292,8 +291,12 @@ def sum_rate_lb(alloc: JammerAllocation, cfg: SystemConfig, budget: JammerBudget
     ``log(v) - kappa``, which collapses the per-user convexity bound to a
     single ``exp(-kappa)`` discount on rho.
     """
-    rho = objective_rho(alloc, cfg, budget)
-    return cfg.data_len / cfg.block_len * math.log1p(rho * math.exp(-EULER_GAMMA)) / _LN2
+    return _bounds(objective_rho(alloc, cfg, budget), cfg)[0]
+
+
+def _bounds(rho: float, cfg: SystemConfig) -> tuple[float, float]:
+    share = cfg.data_len / cfg.block_len
+    return share * math.log1p(rho * math.exp(-EULER_GAMMA)) / _LN2, share * math.log1p(rho) / _LN2
 
 
 def rate_report(
@@ -304,11 +307,8 @@ def rate_report(
     workers: int = 1,
     bank: SampleBank | None = None,
 ) -> RateReport:
-    """Both bounds and the Monte Carlo estimate; ``workers`` and ``bank`` as in :func:`sum_rate_mc`."""
+    """Both bounds, from one rho, and the Monte Carlo estimate; ``workers`` and
+    ``bank`` as in :func:`sum_rate_mc`."""
     estimate, halfwidth = sum_rate_mc(alloc, cfg, budget, mc, workers=workers, bank=bank)
-    return RateReport(
-        r_lb=sum_rate_lb(alloc, cfg, budget),
-        r_mc=estimate,
-        r_mc_halfwidth=halfwidth,
-        r_ub=sum_rate_ub(alloc, cfg, budget),
-    )
+    r_lb, r_ub = _bounds(objective_rho(alloc, cfg, budget), cfg)
+    return RateReport(r_lb=r_lb, r_mc=estimate, r_mc_halfwidth=halfwidth, r_ub=r_ub)

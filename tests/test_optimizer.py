@@ -12,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 import macjam as mj
 from macjam import optimizer as opt
 from macjam.model import _golden_section, _ratio_rho
+from macjam.scenario import db_to_linear
 from _support import random_budget, random_config, rate_reduction_limit
 
 T100 = 100
@@ -103,7 +104,7 @@ def _sign_checked(sys, z, free):
     """Exact sign checks for a restricted solve; returns ``(nu, lambdas)`` or None."""
     if (z[free] <= 0.0).any():
         return None
-    g_all = np.array(opt._grad_z(sys, z.tolist()))
+    g_all = np.array(opt._point(sys, z.tolist())[0])
     nu = float(-(g_all[free]).mean())
     lam = g_all + nu
     if float(lam[~free].min(initial=math.inf)) < -1e-9 * (1.0 + abs(nu)):
@@ -748,25 +749,88 @@ def test_float_solvers_make_no_numpy_call(monkeypatch):
 
 
 def test_build_result_reuses_the_gradient_only_where_the_point_is_unchanged():
+    # The pair (gradient, rho) passed in is reused or recomputed as a whole.
     rng = np.random.default_rng(77)
     for k in (2, 9, 20):
         cfg = random_config(rng, k=k)
         sys = opt._sys(cfg, mj.JammerBudget(30.0))
         point = mj.solve_kkt(cfg, mj.JammerBudget(30.0)).alloc
         z = [*point.zeta_t, point.zeta_d]
-        wrong = [g + 1.0 for g in opt._grad_z(sys, z)]
+        grad, rho = opt._point(sys, z)
+        wrong_grad = [g + 1.0 for g in grad]
+        wrong = (wrong_grad, rho + 1.0)
         for nu in (None, 0.25):
-            def certificate(z, grad=None):
-                res = opt._build_result(sys, z, opt.METHOD_KKT, 1, nu=nu, grad=grad)
-                return [v.hex() for v in (*res.lambdas, res.nu_star, res.kkt_residual)]
+            def fields(z, point=None):
+                res = opt._build_result(sys, z, opt.METHOD_KKT, 1, nu=nu, point=point)
+                return [v.hex() for v in (*res.lambdas, res.nu_star, res.kkt_residual, res.rho_star)]
 
-            # Ratios that sum to 1 + 1e-9 are renormalized, so a gradient
-            # passed in is not theirs and must not be used.
+            # Ratios that sum to 1 + 1e-9 are renormalized, so a pair passed
+            # in is not theirs and must not be used.
             moved = [v * (1.0 + 1e-9) for v in z]
-            assert certificate(moved, grad=wrong) == certificate(moved), (k, nu)
-            # At a point the renormalization returns unchanged, it is used.
-            assert certificate(z, grad=opt._grad_z(sys, z)) == certificate(z), (k, nu)
-            assert certificate(z, grad=wrong) != certificate(z), (k, nu)
+            assert fields(moved, point=wrong) == fields(moved), (k, nu)
+            # At a point the renormalization returns unchanged, both are used.
+            assert fields(z, point=(grad, rho)) == fields(z), (k, nu)
+            assert fields(z, point=(wrong_grad, rho)) != fields(z), (k, nu)
+            assert fields(z, point=(grad, rho + 1.0)) != fields(z), (k, nu)
+
+
+def _rho_z(z, sys):
+    """rho at the point ``z`` (data ratio last) as the polish values it:
+    :func:`model._ratio_terms` per user, summed by ``_rho_terms``."""
+    return opt._rho_terms(*opt._terms_z(sys, z))
+
+
+def _five_pass_grad_z(sys, z):
+    """Reference copy of the gradient as five list passes over the users, the
+    form ``_point`` replaced: its bits must not move."""
+    zt, zd = z[:-1], z[-1]
+    energy, pd = sys.energy, sys.pd
+    s = [p * t / (1.0 + zk * energy / t) for zk, p, t in zip(zt, sys.pt, sys.tt)]
+    gamma = 1.0 / (1.0 + zd * energy / sys.Td)
+    e_fac2 = opt._square(1.0 + gamma * opt._user_sum([d / (1.0 + s_k) for d, s_k in zip(pd, s)]))
+    scale, c = -energy * gamma, 1.0 + gamma * sys.S
+    d_t = [energy * zk + x for zk, x in zip(zt, sys.x)]
+    g = [scale * d * p * (t * t) * c / ((v * v) * e_fac2) for d, p, t, v in zip(pd, sys.pt, sys.tt, d_t)]
+    alpha_sum = opt._user_sum([d * s_k / (1.0 + s_k) for d, s_k in zip(pd, s)])
+    g.append(-energy * sys.Td * alpha_sum / ((energy * zd + sys.Td) ** 2 * e_fac2))
+    return g
+
+
+# Block 1354, users of 3,078 and 2,380 dB pilots: the first user's pt tt
+# overflows a float, so its pilot term is inf and its alpha takes its limit pd.
+PILOT_OVERFLOW = mj.SystemConfig(
+    1354, (U(6.344060022589307e307, 0.008164898930072719, 3), U(1.0815641083136576e238, 1777.360063892929, 2))
+)
+
+
+def test_point_gives_the_bits_of_rho_z_and_of_the_five_pass_gradient():
+    # The pinned cases (K 1-32 over the domain, silent users, zero budgets,
+    # underflowing w, NaN thresholds) at their points, each simplex vertex and
+    # a point with every other coordinate pinned; plus the overflowing pilot.
+    cases = [(cfg, budget, points.tolist()) for cfg, budget, points in _pinned_cases()]
+    rng = np.random.default_rng(5)
+    cases += [(PILOT_OVERFLOW, mj.JammerBudget(pw), rng.dirichlet(np.ones(3), size=4).tolist()) for pw in (0.0, 25.1, 1e8)]
+    for cfg, budget, points in cases:
+        sys = opt._sys(cfg, budget)
+        eye = np.eye(cfg.n_users + 1).tolist()
+        for z in [*points, *eye[:3], eye[-1], [v if i % 2 else 0.0 for i, v in enumerate(points[0])]]:
+            grad, rho = opt._point(sys, z)
+            assert [g.hex() for g in grad] == [g.hex() for g in _five_pass_grad_z(sys, z)], (cfg, budget, z)
+            assert rho.hex() == _rho_z(z, sys).hex(), (cfg, budget, z)
+    # The overflowing pilot's rho is finite and the NaN configs' is NaN.
+    assert math.isfinite(opt._point(opt._sys(PILOT_OVERFLOW, mj.JammerBudget(25.1)), [0.2, 0.3, 0.5])[1])
+    nan_sys = opt._sys(EXTREME_CONFIGS["nan_threshold_first"], mj.JammerBudget(1.0))
+    assert math.isnan(opt._point(nan_sys, [0.2, 0.3, 0.5])[1])
+
+
+@pytest.mark.xfail(strict=True, raises=mj.SolverError, reason="gradient and path are NaN at an overflowing pilot")
+def test_solve_certifies_where_a_pilot_term_overflows():
+    # rho is finite here (its pilot term takes its limit), but the gradient's
+    # s / (1 + s) is inf / inf and the path's switch-on energies are NaN.
+    budget = mj.JammerBudget(db_to_linear(14.0))
+    res = mj.solve(PILOT_OVERFLOW, budget)
+    assert res.kkt_residual <= opt.CERT_TOL
+    assert res.rho_star == mj.objective_rho(res.alloc, PILOT_OVERFLOW, budget)
 
 
 def test_oracle_memory_peak_stays_bounded():
@@ -867,7 +931,7 @@ def test_pair_trial_gives_the_bits_of_rho_z_at_the_moved_point():
                 trial = list(point)
                 trial[up] += t
                 trial[down] = point[down] - t
-                assert phi(t).hex() == opt._rho_z(trial, sys).hex(), (i, up, down, t)
+                assert phi(t).hex() == _rho_z(trial, sys).hex(), (i, up, down, t)
 
 
 def test_descent_from_optimum_stops_immediately():

@@ -110,6 +110,23 @@ def test_gap_identity():
         assert gap == pytest.approx(expected, abs=1e-12)
 
 
+def test_report_prices_both_bounds_from_one_rho(monkeypatch):
+    # The report's bounds are the public bounds' bits, from one objective_rho call.
+    rng = np.random.default_rng(37)
+    mc = mj.MonteCarloSettings(samples=1_000, seed=3)
+    calls = []
+    rho = mj.rates.objective_rho
+    monkeypatch.setattr(mj.rates, "objective_rho", lambda *args: calls.append(args) or rho(*args))
+    for k in (1, 4, 16):
+        cfg = random_config(rng, k=k, p_lo=1e-3, p_hi=1e8)
+        alloc, budget = random_alloc(rng, k), random_budget(rng, -40.0, 100.0)
+        calls.clear()
+        report = mj.rate_report(alloc, cfg, budget, mc)
+        assert len(calls) == 1
+        assert report.r_lb.hex() == mj.sum_rate_lb(alloc, cfg, budget).hex()
+        assert report.r_ub.hex() == mj.sum_rate_ub(alloc, cfg, budget).hex()
+
+
 def test_bounds_strictly_decrease_with_budget_under_uniform():
     rng = np.random.default_rng(31)
     for _ in range(25):
