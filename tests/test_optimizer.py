@@ -823,10 +823,11 @@ def test_point_gives_the_bits_of_rho_z_and_of_the_five_pass_gradient():
     assert math.isnan(opt._point(nan_sys, [0.2, 0.3, 0.5])[1])
 
 
-@pytest.mark.xfail(strict=True, raises=mj.SolverError, reason="gradient and path are NaN at an overflowing pilot")
+@pytest.mark.xfail(strict=True, raises=mj.SolverError, reason="the solver's alpha terms are NaN at an overflowing pilot")
 def test_solve_certifies_where_a_pilot_term_overflows():
-    # rho is finite here (its pilot term takes its limit), but the gradient's
-    # s / (1 + s) is inf / inf and the path's switch-on energies are NaN.
+    # rho is finite here (its pilot term takes its limit), but pd s / (1 + s)
+    # is inf / inf in the gradient, in the path's alpha at zero jamming and in
+    # the row solve's pinned-alpha sum, so the path and the gradient are NaN.
     budget = mj.JammerBudget(db_to_linear(14.0))
     res = mj.solve(PILOT_OVERFLOW, budget)
     assert res.kkt_residual <= opt.CERT_TOL
